@@ -5,6 +5,7 @@ scans, products, and basis counts."""
 import json
 import os
 import sys
+from fractions import Fraction
 
 import click
 
@@ -83,9 +84,14 @@ def _parse_partition(text):
 
 
 def _parse_numeric(text):
+    """p,q0,z0 with p = 0 (q0, z0 rationals such as 3/2) or a prime p."""
     try:
-        p, q0, z0 = (int(v) for v in text.split(","))
-        return NumericPoint(p, q0, z0)
+        p, q0, z0 = text.split(",")
+        p = int(p)
+        value = Fraction if p == 0 else int
+        return NumericPoint(p, value(q0), value(z0))
+    except ZeroDivisionError:
+        raise click.UsageError(f"bad numeric point {text!r}: zero denominator")
     except (ValueError, CoefficientError) as exc:
         raise click.UsageError(f"bad numeric point {text!r}: {exc}")
 
@@ -215,11 +221,15 @@ def verify_relations(ctx, n, max_n):
 
 
 @main.command("gram")
-@click.option("--n", "n", type=int, required=True)
+@click.option("--n", "n", type=click.IntRange(min=1), required=True)
 @click.option("--f", "f", type=int, required=True)
 @click.option("--lambda", "lam", required=True)
 @click.option("--z-exp", type=int, default=None, help="specialize z = q^a")
-@click.option("--numeric", default=None, help="numeric point p,q0,z0 (p=0 rational)")
+@click.option(
+    "--numeric",
+    default=None,
+    help="numeric point p,q0,z0: p prime, or p=0 and rational q0, z0",
+)
 @click.pass_context
 def gram(ctx, n, f, lam, z_exp, numeric):
     """Gram matrix and determinant of a cell module."""
@@ -243,7 +253,7 @@ def gram(ctx, n, f, lam, z_exp, numeric):
 
 
 @main.command("jm-spectrum")
-@click.option("--n", "n", type=int, required=True)
+@click.option("--n", "n", type=click.IntRange(min=1), required=True)
 @click.option("--f", "f", type=int, required=True)
 @click.option("--lambda", "lam", required=True)
 @click.pass_context
@@ -270,7 +280,7 @@ def jm_spectrum(ctx, n, f, lam):
 
 
 @main.command("branching")
-@click.option("--n", "n", type=int, required=True)
+@click.option("--n", "n", type=click.IntRange(min=1), required=True)
 @click.option("--f", "f", type=int, required=True)
 @click.option("--lambda", "lam", required=True)
 @click.pass_context
@@ -288,15 +298,13 @@ def branching(ctx, n, f, lam):
 
 
 @main.command("scan")
-@click.option("--n", "n", type=int, required=True)
+@click.option("--n", "n", type=click.IntRange(min=2), required=True)
 @click.option("--from", "a_min", type=int, default=None)
 @click.option("--to", "a_max", type=int, default=None)
 @click.option("--seed", type=int, default=DEFAULT_SEED, show_default=True)
 @click.pass_context
 def scan_cmd(ctx, n, a_min, a_max, seed):
     """Exponents a for which some Gram determinant vanishes at z = q^a."""
-    if n < 2:
-        raise click.UsageError("--n must be at least 2")
     found = scan_exponents(n, a_min, a_max, seed=seed)
     lo = a_min if a_min is not None else 4 - 2 * n - 2
     hi = a_max if a_max is not None else n
@@ -312,9 +320,13 @@ def scan_cmd(ctx, n, a_min, a_max, seed):
 
 
 @main.command("semisimple")
-@click.option("--n", "n", type=int, required=True)
+@click.option("--n", "n", type=click.IntRange(min=2), required=True)
 @click.option("--z-exp", type=int, default=None, help="relation z = q^a, generic q")
-@click.option("--numeric", default=None, help="numeric point p,q0,z0 (p=0 rational)")
+@click.option(
+    "--numeric",
+    default=None,
+    help="numeric point p,q0,z0: p prime, or p=0 and rational q0, z0",
+)
 @click.pass_context
 def semisimple_cmd(ctx, n, z_exp, numeric):
     """Semisimplicity verdict, by criterion and brute-force determinants."""
@@ -382,15 +394,13 @@ def _parse_gen_index(text, n):
 
 
 @main.command("mul")
-@click.option("--n", "n", type=int, required=True)
+@click.option("--n", "n", type=click.IntRange(min=2), required=True)
 @click.argument("left")
 @click.argument("right")
 @click.pass_context
 def mul_cmd(ctx, n, left, right):
     """Multiply two products of generators (e.g. "T1 E1" "Tinv2 T1") and
     print the normal form."""
-    if n < 2:
-        raise click.UsageError("--n must be at least 2")
     a = elt_from_letters(_parse_letters(left, n), n)
     b = elt_from_letters(_parse_letters(right, n), n)
     prod = algebra_mul(a, b)
@@ -417,12 +427,10 @@ def mul_cmd(ctx, n, left, right):
 
 
 @main.command("basis-count")
-@click.option("--n", "n", type=int, required=True)
+@click.option("--n", "n", type=click.IntRange(min=2), required=True)
 @click.pass_context
 def basis_count(ctx, n):
     """Number of normal words, total and per deficiency."""
-    if n < 2:
-        raise click.UsageError("--n must be at least 2")
     by_f = {}
     for f, lam in labels(n):
         key = str(f)

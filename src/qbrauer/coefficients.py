@@ -6,12 +6,19 @@ two such polynomials kept in a canonical form, so equality is plain
 structural equality and zero tests are exact.
 
 Canonical form of a fraction:
-  * numerator and denominator have no common polynomial factor (gcd computed
-    by the primitive-part Euclidean algorithm with z as the outer variable);
+  * numerator and denominator have no common polynomial factor;
   * the denominator is monomial-normalized: minimal q- and z-exponents are
     zero, so it is an honest polynomial with nonzero constant term;
   * integer contents of numerator and denominator are coprime and the
-    denominator's content is positive.
+    leading coefficient of the denominator is positive.
+
+The common factor is found by a route chosen from the normalized
+denominator, since almost every value is a Laurent polynomial or has a
+denominator free of z (the only division in the structure constants is by
+q - q^-1):
+  * a constant denominator: no polynomial gcd, only integer contents;
+  * a denominator in Z[q]: its gcd in Z[q] with each z-row of the numerator;
+  * a denominator with z: the primitive-part Euclidean algorithm in Z[q][z].
 """
 
 from __future__ import annotations
@@ -159,22 +166,23 @@ def _umul(a: list, b: list) -> list:
 
 
 def _uquo_exact(a: list, b: list) -> list:
-    """Exact division in Q[q]; caller guarantees divisibility over Q."""
-    a = [Fraction(c) for c in a]
-    db = len(b) - 1
-    out = [Fraction(0)] * (len(a) - db)
+    """Exact division in Z[q]; raises unless b divides a with a quotient in
+    Z[q] (always the case when b is primitive and divides a over Q)."""
+    a = list(a)
+    db, lb = len(b) - 1, b[-1]
+    out = [0] * (len(a) - db)
     while len(a) - 1 >= db and _utrim(a):
         da = len(a) - 1
-        c = a[-1] / b[-1]
+        c, r = divmod(a[-1], lb)
+        if r:
+            raise CoefficientError("quotient not integral")
         out[da - db] = c
         for k in range(db + 1):
             a[da - db + k] -= c * b[k]
         _utrim(a)
     if _utrim(a):
         raise CoefficientError("inexact polynomial division")
-    if any(c.denominator != 1 for c in out):
-        raise CoefficientError("quotient not integral")
-    return _utrim([int(c) for c in out])
+    return _utrim(out)
 
 
 # --- bivariate gcd: z outer, coefficients in Z[q] ---------------------------
@@ -319,21 +327,41 @@ def _canonical(num: Terms, den: Terms):
     if mi or mj:
         den = _pshift(den, -mi, -mj)
         num = _pshift(num, -mi, -mj)
-    # strip the numerator monomial out of the gcd computation
-    ni, nj = _pmin_exps(num)
-    num0 = _pshift(num, -ni, -nj)
-    g = _pgcd(num0, den)
-    if g and g != {(0, 0): 1} and g != {(0, 0): -1}:
-        num0 = _pdiv_exact(num0, g)
-        den = _pdiv_exact(den, g)
-    cn, cd = _pcontent(num0), _pcontent(den)
-    c = _igcd(cn, cd)
+    # a constant denominator shares no polynomial factor with the numerator;
+    # otherwise cancel the gcd, with the numerator monomial stripped out
+    if len(den) > 1:
+        ni, nj = _pmin_exps(num)
+        num0 = _pshift(num, -ni, -nj)
+        if any(j for _, j in den):
+            g = _pgcd(num0, den)
+            if len(g) > 1:
+                num0 = _pdiv_exact(num0, g)
+                den = _pdiv_exact(den, g)
+        else:
+            num0, den = _cancel_in_q(num0, den)
+        num = _pshift(num0, ni, nj)
+    c = _igcd(_pcontent(num), _pcontent(den))
     if c > 1:
-        num0 = {k: v // c for k, v in num0.items()}
+        num = {k: v // c for k, v in num.items()}
         den = {k: v // c for k, v in den.items()}
     if _lead_sign(den) < 0:
-        num0, den = _pneg(num0), _pneg(den)
-    return _pshift(num0, ni, nj), den
+        num, den = _pneg(num), _pneg(den)
+    return num, den
+
+
+def _cancel_in_q(num: Terms, den: Terms):
+    """Cancel gcd(num, den) for a denominator free of z: the gcd lies in Z[q]
+    and divides every z-row of the numerator.  Both are monomial-stripped."""
+    d = _to_zrec(den)[0]
+    rows = _to_zrec(num)
+    g = d
+    for r in rows:
+        if r:
+            g = _ugcd(g, r)
+            if len(g) == 1:
+                return num, den
+    rows = [_uquo_exact(r, g) if r else r for r in rows]
+    return _from_zrec(rows), _from_zrec([_uquo_exact(d, g)])
 
 
 def _lead_sign(a: Terms) -> int:
@@ -455,7 +483,8 @@ class Coeff:
         if not self.num or not other.num:
             return ZERO
         if len(self.den) == 1 and len(other.den) == 1:
-            # monomial denominators need no gcd pass beyond normalization
+            # a monomial denominator normalizes to a constant, which takes
+            # the route with no polynomial gcd
             (i1, j1), c1 = next(iter(self.den.items()))
             (i2, j2), c2 = next(iter(other.den.items()))
             num = _pmul(self.num, other.num)
@@ -595,6 +624,38 @@ class IntegerExponent:
     a: int
 
 
+# Miller-Rabin with the first twelve primes as bases is exact below this bound
+# (Sorenson and Webster, Math. Comp. 86, 2017).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_MR_LIMIT = 3_317_044_064_679_887_385_961_981
+
+
+def is_prime(p: int) -> bool:
+    """Exact primality test; raises CoefficientError at or above _MR_LIMIT,
+    where the deterministic test no longer certifies its answer."""
+    if p >= _MR_LIMIT:
+        raise CoefficientError(f"cannot certify primality at or above {_MR_LIMIT}")
+    if p < 2:
+        return False
+    for b in _MR_BASES:
+        if p % b == 0:
+            return p == b
+    d, s = p - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for b in _MR_BASES:
+        x = pow(b, d, p)
+        if x == 1 or x == p - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
+            return False
+    return True
+
+
 @dataclass(frozen=True)
 class NumericPoint:
     """Evaluation at a concrete point of a field of characteristic 0 or p."""
@@ -613,6 +674,8 @@ class NumericPoint:
             if q0 - 1 / q0 == 0 or z0 - 1 / z0 == 0:
                 raise CoefficientError("q0-q0^-1 and z0-z0^-1 must be invertible")
         else:
+            if not is_prime(p):
+                raise CoefficientError(f"characteristic {p} must be 0 or a prime")
             q0, z0 = self.q0 % p, self.z0 % p
             if q0 == 0 or z0 == 0:
                 raise CoefficientError("q0, z0 must be invertible mod p")

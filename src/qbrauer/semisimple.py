@@ -20,8 +20,10 @@ from typing import Dict, Optional, Set, Union
 
 from .coefficients import (
     Coeff,
+    CoefficientError,
     IntegerExponent,
     NumericPoint,
+    PoleError,
     Specialization,
     quantum_characteristic,
     specialize,
@@ -93,19 +95,19 @@ def _det_is_zero_sym(
     if prescreen:
         rng = random.Random(seed + 31 * n + 7 * f + a)
         p = 2_147_483_647
-        hits = 0
         for _ in range(3):
             q0 = rng.randrange(2, p - 1)
             z0 = pow(q0, a, p) if a >= 0 else pow(pow(q0, -1, p), -a, p)
             try:
-                d = gram_det_at(n, f, lam, NumericPoint(p, q0, z0))
-            except Exception:
+                point = NumericPoint(p, q0, z0)
+            except CoefficientError:
+                continue  # z0^2 = 1, as always at a = 0: not a valid point
+            try:
+                d = gram_det_at(n, f, lam, point)
+            except PoleError:
                 continue
             if d:
                 return False
-            hits += 1
-        if hits == 0:
-            pass  # all samples hit poles; fall through to symbolic
     return not gram_det_at(n, f, lam, IntegerExponent(a))
 
 

@@ -2,6 +2,7 @@
 determinism, and the documented example outputs."""
 
 import json
+from fractions import Fraction
 
 import pytest
 from click.testing import CliRunner
@@ -166,3 +167,49 @@ def test_corrupt_cache_is_environment_error(tmp_path):
             p.write_text("{ not json")
     res = run("--cache-dir", str(tmp_path), "verify-relations", "--n", "2")
     assert res.exit_code == 3
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("semisimple", "--n", "1", "--z-exp", "0"),
+        ("semisimple", "--n", "0", "--numeric", "7,3,2"),
+        ("semisimple", "--n", "1", "--numeric", "7,3,2"),
+        ("gram", "--n", "0", "--f", "0", "--lambda", "[]"),
+    ],
+)
+def test_out_of_range_rank_is_usage_error(args):
+    res = run(*args)
+    assert res.exit_code == 2, res.output
+    assert "--n" in res.output
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (("semisimple", "--n", "2", "--numeric", "15,2,7"), "0 or a prime"),
+        (("gram", "--n", "2", "--f", "1", "--lambda", "[]", "--numeric", "9,2,5"),
+         "0 or a prime"),
+        (("semisimple", "--n", "2", "--numeric", "1,2,3"), "0 or a prime"),
+        (("semisimple", "--n", "2", "--numeric", "3317044064679887385961983,2,3"),
+         "cannot certify"),
+        (("semisimple", "--n", "2", "--numeric", "0,1/0,3"), "zero denominator"),
+        (("semisimple", "--n", "2", "--numeric", "7,1/2,3"), "bad numeric point"),
+    ],
+)
+def test_bad_numeric_point_is_usage_error(args, message):
+    res = run(*args)
+    assert res.exit_code == 2, res.output
+    assert message in res.output
+
+
+def test_rational_numeric_point():
+    data = run_json("semisimple", "--n", "2", "--numeric", "0,1/2,3")
+    assert data["report"]["spec"]["q0"] == "1/2"
+    assert data["ok"] is True
+    data = run_json(
+        "gram", "--n", "2", "--f", "1", "--lambda", "[]", "--numeric", "0,3/2,5/7"
+    )
+    # (z0 - 1/z0)/(q0 - 1/q0) at q0 = 3/2, z0 = 5/7
+    z0, q0 = Fraction(5, 7), Fraction(3, 2)
+    assert data["determinant"] == str((z0 - 1 / z0) / (q0 - 1 / q0))

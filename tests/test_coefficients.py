@@ -1,8 +1,11 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from qbrauer import coefficients as co
 from qbrauer.coefficients import (
     A,
     Coeff,
@@ -19,6 +22,7 @@ from qbrauer.coefficients import (
     ZERO,
     ZINV,
     classical_limit,
+    is_prime,
     parse_coeff,
     quantum_characteristic,
     specialize,
@@ -147,3 +151,87 @@ def test_int_interop():
     assert DELTA * 2 - DELTA == DELTA
     assert 1 + ZERO == ONE
     assert 2 * ONE / 2 == ONE
+
+
+def _pgcd_canonical(num, den):
+    """Reference canonical form: the bivariate gcd for every denominator."""
+    mi, mj = co._pmin_exps(den)
+    num, den = co._pshift(num, -mi, -mj), co._pshift(den, -mi, -mj)
+    ni, nj = co._pmin_exps(num)
+    num = co._pshift(num, -ni, -nj)
+    g = co._pgcd(num, den)
+    num, den = co._pdiv_exact(num, g), co._pdiv_exact(den, g)
+    c = gcd(co._pcontent(num), co._pcontent(den))
+    num = {k: v // c for k, v in num.items()}
+    den = {k: v // c for k, v in den.items()}
+    if den[max(den)] < 0:
+        num, den = co._pneg(num), co._pneg(den)
+    return co._pshift(num, ni, nj), den
+
+
+_coef = st.integers(-5, 5).filter(bool)
+_laurent = st.dictionaries(
+    st.tuples(st.integers(-2, 2), st.integers(-2, 2)), _coef, min_size=1, max_size=4
+)
+# the three shapes a denominator can take once its monomial is stripped
+_constant = st.builds(
+    lambda i, j, c: {(i, j): c}, st.integers(-2, 2), st.integers(-2, 2), _coef
+)
+_z_free = st.builds(
+    lambda t, j: {(i, j): c for i, c in t.items()},
+    st.dictionaries(st.integers(-1, 3), _coef, min_size=2, max_size=4),
+    st.integers(-1, 1),
+)
+_with_z = st.dictionaries(
+    st.tuples(st.integers(-1, 2), st.integers(-1, 2)), _coef, min_size=2, max_size=4
+).filter(lambda t: len({j for _, j in t}) > 1)
+_shape = st.one_of(_constant, _z_free, _with_z)
+
+
+@settings(max_examples=300, deadline=None)
+@given(num=_laurent, den=_shape, common=_shape)
+def test_canonical_routes_agree_with_bivariate_gcd(num, den, common):
+    big_num, big_den = co._pmul(num, common), co._pmul(den, common)
+    x = Coeff(big_num, big_den)
+    y = Coeff(num, den)
+    assert x == y and hash(x) == hash(y)
+    assert str(x) == str(y) and parse_coeff(str(x)) == x
+    assert (x.num, x.den) == _pgcd_canonical(big_num, big_den)
+    assert (y.num, y.den) == _pgcd_canonical(num, den)
+
+
+def test_canonical_sign_and_content():
+    # negative constant and negative leading coefficient in q
+    assert str(Coeff({(1, 0): 4, (0, 1): -6}, {(0, 0): -10})) == "-2*q^1+3*z^1/5"
+    x = Coeff({(0, 0): 3}, {(2, 0): -2, (0, 0): 2})  # 3/(2 - 2q^2)
+    assert x.den == {(2, 0): 2, (0, 0): -2} and x.num == {(0, 0): -3}
+
+
+def test_uquo_exact_integer_division():
+    assert co._uquo_exact([-1, 0, 1], [1, 1]) == [-1, 1]
+    assert co._uquo_exact([2, 4], [1, 2]) == [2]
+    with pytest.raises(CoefficientError):
+        co._uquo_exact([1, 1], [2])  # (1 + q)/2 is not in Z[q]
+    with pytest.raises(CoefficientError):
+        co._uquo_exact([1, 0, 1], [1, 1])  # q + 1 does not divide q^2 + 1
+
+
+def test_is_prime_matches_trial_division():
+    def trial(p):
+        return p >= 2 and all(p % d for d in range(2, int(p**0.5) + 1))
+
+    for p in range(-3, 3000):
+        assert is_prime(p) == trial(p), p
+    assert is_prime(2_147_483_647) and is_prime(2**61 - 1)
+    # Carmichael numbers and a strong pseudoprime to bases 2, 3, 5 and 7
+    for p in (561, 41041, 3_215_031_751, 3_825_123_056_546_413_051):
+        assert not is_prime(p)
+    with pytest.raises(CoefficientError):
+        is_prime(co._MR_LIMIT)
+
+
+def test_numeric_point_characteristic_must_be_prime():
+    for p in (15, 9, 1, -7):
+        with pytest.raises(CoefficientError):
+            NumericPoint(p, 2, 5)
+    assert NumericPoint(0, Fraction(1, 2), Fraction(3)).q0 == Fraction(1, 2)
