@@ -624,9 +624,10 @@ class IntegerExponent:
     a: int
 
 
-# Miller-Rabin with the first twelve primes as bases is exact below this bound
-# (Sorenson and Webster, Math. Comp. 86, 2017).
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# Miller-Rabin with the first thirteen primes (2..41) as bases is exact below
+# this bound (Sorenson and Webster, Math. Comp. 86, 2017); twelve bases are
+# exact only below 318_665_857_834_031_151_167_461.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _MR_LIMIT = 3_317_044_064_679_887_385_961_981
 
 

@@ -191,6 +191,8 @@ def test_out_of_range_rank_is_usage_error(args):
         (("gram", "--n", "2", "--f", "1", "--lambda", "[]", "--numeric", "9,2,5"),
          "0 or a prime"),
         (("semisimple", "--n", "2", "--numeric", "1,2,3"), "0 or a prime"),
+        (("semisimple", "--n", "2", "--numeric", "318665857834031151167461,2,3"),
+         "0 or a prime"),
         (("semisimple", "--n", "2", "--numeric", "3317044064679887385961983,2,3"),
          "cannot certify"),
         (("semisimple", "--n", "2", "--numeric", "0,1/0,3"), "zero denominator"),

@@ -223,8 +223,10 @@ def test_is_prime_matches_trial_division():
     for p in range(-3, 3000):
         assert is_prime(p) == trial(p), p
     assert is_prime(2_147_483_647) and is_prime(2**61 - 1)
-    # Carmichael numbers and a strong pseudoprime to bases 2, 3, 5 and 7
-    for p in (561, 41041, 3_215_031_751, 3_825_123_056_546_413_051):
+    # Carmichael numbers, a strong pseudoprime to bases 2, 3, 5 and 7, and one
+    # to the twelve prime bases 2..37 (399165290221 * 798330580441)
+    for p in (561, 41041, 3_215_031_751, 3_825_123_056_546_413_051,
+              318_665_857_834_031_151_167_461):
         assert not is_prime(p)
     with pytest.raises(CoefficientError):
         is_prime(co._MR_LIMIT)
