@@ -14,6 +14,14 @@ Left multiplication is reduced to right multiplication through the
 anti-involution sigma, which acts on basis words by an exact flip
 (f, d1, w, d2) -> (f, d2, w^{-1}, d1).
 
+The engine memoizes reduce, sand and the right action of each generator on
+each normal word.  Memo values are shared between callers (MulTable stores
+the action entries themselves) and are never mutated: every operation on an
+AlgebraElt builds a new element.  Products of whole elements replay the
+generator letters of the right factor's normal words (mul); a cell module
+applies those same letters as its cached generator matrices instead
+(cells.CellModule.act_elt).
+
 Defining relations (the braid and quadratic relations of the T_i together
 with):
     E_1^2 = delta E_1,   T_1 E_1 = E_1 T_1 = q E_1,   E_1 T_2 E_1 = z E_1,
@@ -36,7 +44,6 @@ from .coefficients import (
     DELTA,
     ONE,
     Q,
-    QINV,
     Z,
     ZERO,
     ZINV,
@@ -47,7 +54,6 @@ from .combinatorics import (
     Perm,
     config_to_rep,
     coset_reps_D,
-    d_config,
     perm_from_word,
     s,
     seg,
@@ -123,7 +129,9 @@ class AlgebraElt:
 
     def scale(self, c: Coeff) -> "AlgebraElt":
         r = AlgebraElt(self.n)
-        if c:
+        if c == ONE:
+            r.terms = dict(self.terms)
+        elif c:
             r.terms = {w: c * v for w, v in self.terms.items()}
         return r
 
@@ -162,7 +170,9 @@ _STEP_BOUND = 10**6
 
 
 class Engine:
-    """Rewriting engine for a fixed rank n; memoizes reduce and sand."""
+    """Rewriting engine for a fixed rank n; memoizes reduce, sand and the
+    action of a generator on a normal word.  Memo values are shared, so
+    they must never be mutated."""
 
     def __init__(self, n: int):
         if n < 1:
@@ -170,6 +180,7 @@ class Engine:
         self.n = n
         self._reduce_memo: Dict[Tuple[int, Perm], Dict] = {}
         self._sand_memo: Dict[Tuple[int, Perm], Dict] = {}
+        self._rmul_memo: Dict[Tuple[NormalWord, Tuple], AlgebraElt] = {}
         self._steps = 0
         self._inflight = set()
         # sanity of the distinguished representatives: no left descent in the
@@ -244,10 +255,8 @@ class Engine:
                 out: Dict[Tuple[Perm, Perm], Coeff] = {}
                 for (omega, dd), c in inner.items():
                     sw = s(m) * omega
-                    if sw.length() > omega.length():
-                        _dadd(out, (sw, dd), c)
-                    else:
-                        _dadd(out, (sw, dd), c)
+                    _dadd(out, (sw, dd), c)
+                    if sw.length() < omega.length():
                         _dadd(out, (omega, dd), A * c)
                 return out
         # (4) word starting T_{2j} T_{2j+1}: the pair-block relation gives the
@@ -435,6 +444,14 @@ class Engine:
         return out
 
     def _rmul_word(self, x: NormalWord, g) -> AlgebraElt:
+        """x . g for a basis word x; the shared memo entry, never mutated."""
+        key = (x, g)
+        hit = self._rmul_memo.get(key)
+        if hit is None:
+            hit = self._rmul_memo[key] = self._rmul_word_impl(x, g)
+        return hit
+
+    def _rmul_word_impl(self, x: NormalWord, g) -> AlgebraElt:
         n = self.n
         f, d1, w, d2 = x
         if g[0] == "Tinv":
@@ -454,7 +471,7 @@ class Engine:
                 pieces.append((u, A))
             for u2, c in pieces:
                 for (omega, dd), c2 in self.reduce(f, u2).items():
-                    _wadd(out, NormalWord(f, d1, omega, dd), c * c2)
+                    _dadd(out, NormalWord(f, d1, omega, dd), c * c2)
             r = AlgebraElt(n)
             r.terms = out
             return r
@@ -529,14 +546,6 @@ class Engine:
 
 
 def _dadd(d, k, c):
-    v = d.get(k, ZERO) + c
-    if v:
-        d[k] = v
-    else:
-        d.pop(k, None)
-
-
-def _wadd(d, k, c):
     v = d.get(k, ZERO) + c
     if v:
         d[k] = v
@@ -634,11 +643,13 @@ def tilde_e1(n: int) -> AlgebraElt:
     return elt_from_letters([Tinv(1), T(2), E1], n).scale(Q * ZINV)
 
 
-def jm(i: int, n: int) -> AlgebraElt:
-    """Jucys-Murphy element L_i = sum_{j<i} (j,i) - q^2 z^{-1} sum_{j<i} E_{j,i}."""
+def jm_terms(i: int, n: int) -> List[Tuple[Coeff, List[Tuple]]]:
+    """L_i = sum_{j<i} (j,i) - q^2 z^{-1} sum_{j<i} E_{j,i} as
+    [(coeff, letters)], each letter string a product of generators."""
     if not (1 <= i <= n):
         raise AlgebraError(f"L_{i} out of range for n={n}")
-    out = AlgebraElt(n)
+    c = -(Q * Q * ZINV)
+    out = []
     for j in range(1, i):
         # (j, i) = T_{j,i-1} T_{i-1} T_{i-1,j}
         tletters = (
@@ -646,14 +657,21 @@ def jm(i: int, n: int) -> AlgebraElt:
             + [T(i - 1)]
             + [T(k) for k in seg_word(i - 1, j)]
         )
-        out = out + elt_from_letters(tletters, n)
         # E_{j,i} = T_{1,j}^{-1} T_{i,2} E_1 T_{2,i} T_{j,1}^{-1}
         eletters: List[Tuple] = [Tinv(k) for k in reversed(seg_word(1, j))]
         eletters += [T(k) for k in seg_word(i, 2)]
         eletters += [E1]
         eletters += [T(k) for k in seg_word(2, i)]
         eletters += [Tinv(k) for k in reversed(seg_word(j, 1))]
-        out = out - elt_from_letters(eletters, n).scale(Q * Q * ZINV)
+        out += [(ONE, tletters), (c, eletters)]
+    return out
+
+
+def jm(i: int, n: int) -> AlgebraElt:
+    """Jucys-Murphy element L_i, from the letter strings of jm_terms."""
+    out = AlgebraElt(n)
+    for c, letters in jm_terms(i, n):
+        out = out + elt_from_letters(letters, n).scale(c)
     return out
 
 
@@ -771,7 +789,8 @@ def _gen_from_key(k: str):
 
 class MulTable:
     """Right action of each generator symbol on every normal word, for a
-    fixed rank; built once, then immutable."""
+    fixed rank; built once, then immutable (its entries may be the engine's
+    memo values)."""
 
     def __init__(self, n: int, action: Dict[Tuple[NormalWord, Tuple], AlgebraElt]):
         self.n = n
@@ -787,12 +806,12 @@ class MulTable:
 
     @classmethod
     def build(cls, n: int) -> "MulTable":
+        """The engine's own memo entries, shared rather than copied."""
         eng = get_engine(n)
         action = {}
         for w in all_normal_words(n):
-            x = AlgebraElt(n, {w: ONE})
             for g in cls.gens(n):
-                action[(w, g)] = eng.right_mul_gen(x, g)
+                action[(w, g)] = eng._rmul_word(w, g)
         return cls(n, action)
 
     @classmethod

@@ -14,6 +14,14 @@ Hecke algebra on the window letters, discard the components above lam in
 dominance (they lie in the span of bigger cells) and the components of
 shape lam whose left tableau is not superstandard, and keep the coefficient
 of x_{t^lam, t} T_d as the coordinate at (t, d).
+
+Element actions: a cell module is a right module, so the coordinates of
+x . y are the coordinates of x times the matrix of y, and the matrix of a
+product of generators is the product of the generator matrices act(g).
+Only those matrices, the lifted Jucys-Murphy basis and the Gram pairings are
+reduced with vector; act_elt, jm_matrix, the filtration invariance check
+and the radical traces multiply cached generator matrices.  Cached matrices
+(like the engine's memo values) are shared and never mutated.
 """
 
 from __future__ import annotations
@@ -21,7 +29,7 @@ from __future__ import annotations
 import math
 from functools import lru_cache
 from itertools import permutations as _iperms
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .coefficients import (
     A,
@@ -36,7 +44,6 @@ from .coefficients import (
     specialize,
 )
 from .combinatorics import (
-    CombinatoricsError,
     IDENTITY,
     Partition,
     Perm,
@@ -52,7 +59,6 @@ from .combinatorics import (
     seg_word,
     std_tableaux,
     superstandard,
-    ud_sort_key,
     updown_tableaux,
 )
 from .hecke import HeckeElt, murphy_x, x_lambda
@@ -65,7 +71,7 @@ from .algebra import (
     e_index,
     elt_from_letters,
     get_engine,
-    jm,
+    jm_terms,
     mul,
     one_elt,
     right_mul_gen,
@@ -166,6 +172,20 @@ class _MurphySolver:
         if work:
             raise CellError("element is not in the span of the Murphy basis")
         return out
+
+
+def _rows_times(rows: list, mat: list) -> list:
+    """rows . mat, visiting only the nonzero entries of both."""
+    sparse = [[(j, a) for j, a in enumerate(r) if a] for r in mat]
+    out = []
+    for r in rows:
+        acc = [ZERO] * len(mat[0])
+        for i, x in enumerate(r):
+            if x:
+                for j, a in sparse[i]:
+                    acc[j] = acc[j] + x * a
+        out.append(acc)
+    return out
 
 
 def _subtract(target: dict, source: dict, c: Coeff):
@@ -323,8 +343,36 @@ class CellModule:
         return self._act_cache[key]
 
     def act_elt(self, y: AlgebraElt) -> list:
-        """Matrix of the right action of an arbitrary element."""
-        return [self.vector(mul(e, y)) for e in self.elements()]
+        """Matrix of the right action of an arbitrary element, from the
+        generator letters of its normal words."""
+        if y.n != self.n:
+            raise CellError(f"rank mismatch: {y.n} vs {self.n}")
+        eng = get_engine(self.n)
+        return self._terms_matrix(
+            [(c, eng.word_letters(w)) for w, c in y.terms.items()]
+        )
+
+    def _terms_matrix(self, terms) -> list:
+        """Matrix of the right action of sum c . g_1 ... g_k, given as terms
+        [(c, [g_1, ..., g_k])]: the sum of c . act(g_1) ... act(g_k)."""
+        dim = self.dim
+        out = [[ZERO] * dim for _ in range(dim)]
+        for c, letters in terms:
+            prod = None
+            for g in letters:
+                mat = self.act(g)
+                prod = mat if prod is None else _rows_times(prod, mat)
+            if prod is None:
+                prod = [
+                    [ONE if i == j else ZERO for j in range(dim)]
+                    for i in range(dim)
+                ]
+            unit = c == ONE
+            for o, r in zip(out, prod):
+                for j, x in enumerate(r):
+                    if x:
+                        o[j] = o[j] + (x if unit else c * x)
+        return out
 
     # -- Gram matrix ---------------------------------------------------------
 
@@ -430,9 +478,12 @@ class CellModule:
         (rows/columns ordered by self.ud)."""
         if not (1 <= k <= self.n):
             raise CellError(f"L_{k} out of range for n={self.n}")
-        lk = jm(k, self.n)
-        rows = [self.vector(mul(m, lk)) for m in self.jm_elements()]
-        return mat_mul(rows, self.transition_inv())
+        return self._in_jm_basis(self._terms_matrix(jm_terms(k, self.n)))
+
+    def _in_jm_basis(self, mat: list) -> list:
+        """A coset-basis action matrix rewritten in the Jucys-Murphy basis:
+        transition . mat . transition^-1."""
+        return mat_mul(mat_mul(self.transition(), mat), self.transition_inv())
 
     def check_triangular(self, k: int) -> dict:
         """Certificate that L_k is upper triangular on the Jucys-Murphy basis
@@ -531,13 +582,9 @@ class CellModule:
         gens = [T(i) for i in range(1, n - 1)]
         if n - 1 >= 2:
             gens.append(E1)
-        binv = self.transition_inv()
         invariance_ok = contiguous
         for g in gens:
-            rows = [
-                self.vector(right_mul_gen(e, g)) for e in self.jm_elements()
-            ]
-            jg = mat_mul(rows, binv)
+            jg = self._in_jm_basis(self.act(g))
             for (lj, start, stop) in boundaries:
                 for r in range(start, stop):
                     for c in range(start):
@@ -870,11 +917,8 @@ def radical_factor_shape(n: int, mu, spec: Specialization):
     traces = []
     for k in range(1, n + 1):
         mk = [
-            [
-                _to_field(specialize(c, spec), spec)
-                for c in mod.vector(mul(e, jm(k, n)))
-            ]
-            for e in mod.elements()
+            [_to_field(specialize(c, spec), spec) for c in row]
+            for row in mod._terms_matrix(jm_terms(k, n))
         ]
         rows = []
         for v in kern:

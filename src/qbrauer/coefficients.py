@@ -657,6 +657,19 @@ def is_prime(p: int) -> bool:
     return True
 
 
+_Q0_POLE = "q0-q0^-1 must be invertible (it is the only denominator)"
+# z0 = +-1 makes delta = (z0 - z0^-1)/(q0 - q0^-1) vanish.  That is no
+# pole, but delta = 0 is refused because no verdict route covers it: the
+# reduced route checks every rank k <= n and meets the rank-2 Gram matrix
+# [delta] = 0, while the full route finds B_3(0) semisimple (all rank-3
+# Gram determinants are nonzero), and bad_exponent_set does not describe
+# delta = 0 either.
+_DELTA_ZERO = (
+    "z0 = 1 or -1 (delta = 0) is refused: the semisimplicity routes do not "
+    "cover delta = 0"
+)
+
+
 @dataclass(frozen=True)
 class NumericPoint:
     """Evaluation at a concrete point of a field of characteristic 0 or p."""
@@ -672,16 +685,20 @@ class NumericPoint:
             for name, v in (("q0", q0), ("z0", z0)):
                 if v == 0:
                     raise CoefficientError(f"{name} must be invertible")
-            if q0 - 1 / q0 == 0 or z0 - 1 / z0 == 0:
-                raise CoefficientError("q0-q0^-1 and z0-z0^-1 must be invertible")
+            if q0 - 1 / q0 == 0:
+                raise CoefficientError(_Q0_POLE)
+            if z0 - 1 / z0 == 0:
+                raise CoefficientError(_DELTA_ZERO)
         else:
             if not is_prime(p):
                 raise CoefficientError(f"characteristic {p} must be 0 or a prime")
             q0, z0 = self.q0 % p, self.z0 % p
             if q0 == 0 or z0 == 0:
                 raise CoefficientError("q0, z0 must be invertible mod p")
-            if (q0 - pow(q0, -1, p)) % p == 0 or (z0 - pow(z0, -1, p)) % p == 0:
-                raise CoefficientError("q0-q0^-1 and z0-z0^-1 must be invertible")
+            if (q0 - pow(q0, -1, p)) % p == 0:
+                raise CoefficientError(_Q0_POLE)
+            if (z0 - pow(z0, -1, p)) % p == 0:
+                raise CoefficientError(_DELTA_ZERO)
 
     def field_inv(self, x):
         p = self.characteristic

@@ -155,23 +155,6 @@ class Perm:
         a, b = self.min_window()
         return a > b or (lo <= a and b <= hi)
 
-    def restrict_split(self, cut: int) -> Tuple["Perm", "Perm"]:
-        """Split as a product of a part supported in [.., cut] and one in
-        [cut+1, ..]; raises if the permutation does not preserve the cut."""
-        lo, hi = self.min_window()
-        if lo > hi:
-            return IDENTITY, IDENTITY
-        low = [self(x) for x in range(min(lo, 1), cut + 1)]
-        high = [self(x) for x in range(cut + 1, hi + 1)]
-        if any(v > cut for v in low) or any(v <= cut for v in high):
-            raise CombinatoricsError("permutation does not preserve the cut")
-        left = Perm(low, min(lo, 1)) if low else IDENTITY
-        right = Perm(high, cut + 1) if high else IDENTITY
-        return left, right
-
-    def one_line(self, lo: int, hi: int) -> List[int]:
-        return [self(x) for x in range(lo, hi + 1)]
-
 
 IDENTITY = Perm(())
 
@@ -372,13 +355,6 @@ def std_tableaux(lam: Partition, start: int = 1) -> List[StandardTableau]:
 
     grow([[] for _ in lam], start)
     return out
-
-
-def tableau_entry_map(t: StandardTableau) -> dict:
-    """entry -> (row, col), 1-based."""
-    return {
-        v: (r + 1, c + 1) for r, row in enumerate(t) for c, v in enumerate(row)
-    }
 
 
 def coset_word(t: StandardTableau) -> Perm:
@@ -588,16 +564,6 @@ def ud_compare(sp: UpDownTableau, tp: UpDownTableau):
     fb = (k - sum(tp.shapes[k])) // 2
     verdict = label_order((fa, sp.shapes[k]), (fb, tp.shapes[k]))
     return (verdict, k)
-
-
-def ud_sort_key(t: UpDownTableau):
-    """Total-order key: larger in the ud order sorts first (a linear
-    extension; positions scanned from the end, labels descending)."""
-    key = []
-    for k in range(t.n, -1, -1):
-        f = (k - sum(t.shapes[k])) // 2
-        key.append((f, tuple(-x for x in dominance_key(t.shapes[k]))))
-    return tuple(key)
 
 
 # ---------------------------------------------------------------------------

@@ -171,12 +171,6 @@ def mat_inverse(m: Matrix) -> Matrix:
     return [row[n:] for row in aug]
 
 
-def solve_right(b: Matrix, r: Matrix) -> Matrix:
-    """Solve X * b = r for X (b square invertible)."""
-    binv = mat_inverse(b)
-    return mat_mul(r, binv)
-
-
 def kernel_basis(m: Matrix) -> List[list]:
     """Basis of the left kernel {v : v * m = 0} (row vectors)."""
     if not m:

@@ -279,6 +279,30 @@ def test_multable_cache_roundtrip(tmp_path):
         assert elt == eng.right_mul_gen(AlgebraElt(n, {w: ONE}), g)
 
 
+def test_multable_shares_engine_memo_without_aliasing(monkeypatch):
+    from qbrauer import algebra
+    from qbrauer.algebra import Engine
+    from qbrauer.cells import CellModule
+
+    n = 4
+    monkeypatch.setattr(algebra, "_engines", {})
+    table = MulTable.build(n)
+    eng = get_engine(n)
+    # a second fresh engine, visiting the words in reverse order
+    other = Engine(n)
+    for w in reversed(all_normal_words(n)):
+        for g in MulTable.gens(n):
+            assert table.action[(w, g)] == other.right_mul_gen(
+                AlgebraElt(n, {w: ONE}), g
+            ), (w, g)
+    assert all(table.action[k] is eng._rmul_memo[k] for k in table.action)
+    before = {k: dict(v.terms) for k, v in eng._rmul_memo.items()}
+    CellModule(n, 1, (2,)).gram()
+    mul(jm(n, n), tilde_e1(n))
+    for k, terms in before.items():
+        assert eng._rmul_memo[k].terms == terms, k
+
+
 def test_multable_corrupt_cache_raises(tmp_path):
     from qbrauer.algebra import AlgebraError
 

@@ -4,7 +4,17 @@ radicals at special parameter values."""
 
 import pytest
 
-from qbrauer.algebra import E1, T, Tinv, generator_elt, mul, right_mul_gen, sigma
+from qbrauer.algebra import (
+    E1,
+    T,
+    Tinv,
+    generator_elt,
+    jm,
+    mul,
+    right_mul_gen,
+    sigma,
+    tilde_e1,
+)
 from qbrauer.cells import (
     CellError,
     VLayer,
@@ -124,6 +134,56 @@ def test_action_respects_products():
                 prod = mul(generator_elt(g, n), generator_elt(h, n))
                 lhs = mat_mul(m.act(g), m.act(h))
                 assert lhs == m.act_elt(prod), (n, f, lam, g, h)
+
+
+# The algebra-product route: reduce each lifted basis element times y.  The
+# module computes the same matrices from its cached generator matrices.
+
+
+def product_route(mod, lifts, y):
+    return [mod.vector(mul(e, y)) for e in lifts]
+
+
+def labels_upto(n_max):
+    for n in range(1, n_max + 1):
+        for f, lam in labels(n):
+            yield n, f, lam
+
+
+def test_act_elt_matches_algebra_products():
+    for n, f, lam in labels_upto(4):
+        m = cell_module(n, f, lam)
+        ys = [jm(k, n) for k in range(1, n + 1)]
+        if n >= 2:
+            ys.append(mul(generator_elt(E1, n), generator_elt(T(n - 1), n)))
+        if n >= 3:
+            ys.append(tilde_e1(n))
+        for y in ys:
+            assert m.act_elt(y) == product_route(m, m.elements(), y), (n, f, lam)
+
+
+def test_jm_matrix_matches_algebra_products():
+    for n, f, lam in labels_upto(4):
+        m = cell_module(n, f, lam)
+        for k in range(1, n + 1):
+            rows = product_route(m, m.jm_elements(), jm(k, n))
+            want = mat_mul(rows, m.transition_inv())
+            assert m.jm_matrix(k) == want, (n, f, lam, k)
+
+
+def test_filtration_matrices_match_algebra_products():
+    for n, f, lam in labels_upto(4):
+        m = cell_module(n, f, lam)
+        sub_gens = [T(i) for i in range(1, n - 1)] + ([E1] if n >= 3 else [])
+        for g in sub_gens:
+            rows = [m.vector(right_mul_gen(e, g)) for e in m.jm_elements()]
+            want = mat_mul(rows, m.transition_inv())
+            assert m._in_jm_basis(m.act(g)) == want, (n, f, lam, g)
+
+
+def test_act_elt_rejects_another_rank():
+    with pytest.raises(CellError):
+        cell_module(3, 1, (1,)).act_elt(jm(2, 4))
 
 
 def test_action_satisfies_defining_relations():

@@ -197,6 +197,9 @@ def test_out_of_range_rank_is_usage_error(args):
          "cannot certify"),
         (("semisimple", "--n", "2", "--numeric", "0,1/0,3"), "zero denominator"),
         (("semisimple", "--n", "2", "--numeric", "7,1/2,3"), "bad numeric point"),
+        (("semisimple", "--n", "3", "--numeric", "10007,3,1"), "(delta = 0) is refused"),
+        (("semisimple", "--n", "3", "--numeric", "10007,3,10006"),
+         "(delta = 0) is refused"),
     ],
 )
 def test_bad_numeric_point_is_usage_error(args, message):
