@@ -18,10 +18,16 @@ of x_{t^lam, t} T_d as the coordinate at (t, d).
 Element actions: a cell module is a right module, so the coordinates of
 x . y are the coordinates of x times the matrix of y, and the matrix of a
 product of generators is the product of the generator matrices act(g).
-Only those matrices, the lifted Jucys-Murphy basis and the Gram pairings are
-reduced with vector; act_elt, jm_matrix, the filtration invariance check
-and the radical traces multiply cached generator matrices.  Cached matrices
-(like the engine's memo values) are shared and never mutated.
+Only those matrices and the lifted Jucys-Murphy basis are reduced with
+vector; act_elt, jm_matrix, the filtration invariance check and the radical
+traces multiply cached generator matrices.  Cached matrices (like the
+engine's memo values) are shared and never mutated.
+
+Gram matrices come from the generator matrices too.  The form is invariant,
+<x . a, y> = <x, y . sigma(a)>, and sigma fixes every generator, so with
+basis vector j equal to e_ref . T_{a_1} ... T_{a_m} and sigma(e_ref) =
+e_ref, column j of the Gram matrix is act(a_m) ... act(a_1) applied to the
+column of e_ref (see _gram_from_base).
 """
 
 from __future__ import annotations
@@ -72,10 +78,8 @@ from .algebra import (
     elt_from_letters,
     get_engine,
     jm_terms,
-    mul,
     one_elt,
     right_mul_gen,
-    sigma,
     tilde_e1,
 )
 from .linalg import Fp, kernel_basis, in_row_span, mat_inverse, mat_mul, mat_rank
@@ -188,6 +192,25 @@ def _rows_times(rows: list, mat: list) -> list:
     return out
 
 
+def _gram_from_base(act, base: list, words: List[Tuple[int, ...]]) -> list:
+    """Gram matrix of an invariant form on a right module whose basis vector
+    j is e_ref . T_{a_1} ... T_{a_m} with (a_1, ..., a_m) = words[j] and
+    sigma(e_ref) = e_ref: column j is act(T(a_m)) ... act(T(a_1)) . base,
+    where base is the column of e_ref and act(g) is the matrix of the right
+    action of the generator g (row i is the image of basis vector i)."""
+    columns = []
+    for word in words:
+        col = base
+        for a in word:
+            mat = act(T(a))
+            col = [
+                sum((x * col[k] for k, x in enumerate(row) if x), ZERO)
+                for row in mat
+            ]
+        columns.append(col)
+    return [list(row) for row in zip(*columns)]
+
+
 def _subtract(target: dict, source: dict, c: Coeff):
     for k, v in source.items():
         val = target.get(k, ZERO) - c * v
@@ -256,27 +279,28 @@ class CellModule:
 
     # -- lifted basis elements --------------------------------------------
 
+    def _words(self) -> List[Tuple[int, ...]]:
+        """Letters (a_1, ..., a_m) with basis vector (t, v) equal to
+        E^f x_lam T_{a_1} ... T_{a_m}: the word of d(t), then that of v."""
+        return [coset_word(t).word() + v.word() for t, v in self.index]
+
     def elements(self) -> List[AlgebraElt]:
         """Lifts E^f x_lam T_{d(t)} T_v of the coset basis vectors."""
         if self._elements is None:
             eng = get_engine(self.n)
+            base = AlgebraElt(
+                self.n,
+                {
+                    NormalWord(self.f, IDENTITY, w, IDENTITY): c
+                    for w, c in x_lambda(self.lam, self.window).terms.items()
+                },
+            )
             out = []
-            for t in self.tabs:
-                h = x_lambda(self.lam, self.window).mul_word(
-                    coset_word(t).word()
-                )
-                base = AlgebraElt(
-                    self.n,
-                    {
-                        NormalWord(self.f, IDENTITY, w, IDENTITY): c
-                        for w, c in h.terms.items()
-                    },
-                )
-                for v in self.reps:
-                    x = base
-                    for i in v.word():
-                        x = eng.right_mul_gen(x, T(i))
-                    out.append(x)
+            for word in self._words():
+                x = base
+                for i in word:
+                    x = eng.right_mul_gen(x, T(i))
+                out.append(x)
             self._elements = out
         return self._elements
 
@@ -285,13 +309,11 @@ class CellModule:
 
     # -- reduction to coordinates ------------------------------------------
 
-    def vector(self, x: AlgebraElt, project: bool = False) -> List[Coeff]:
+    def vector(self, x: AlgebraElt) -> List[Coeff]:
         """Coordinates of x modulo the span of bigger cells.
 
-        With project=False any word with a nontrivial left coset part is a
-        reduction failure (right multiplication never produces one); with
-        project=True such words are discarded (used for two-sided products,
-        whose left parts lie in bigger cells)."""
+        Any word of deficiency f with a nontrivial left coset part is a
+        reduction failure (right multiplication never produces one)."""
         f = self.f
         coords = [ZERO] * self.dim
         by_d: Dict[Perm, Dict[Perm, Coeff]] = {}
@@ -303,8 +325,6 @@ class CellModule:
                     f"term of deficiency {wd.f} below the cell layer {f}"
                 )
             if not wd.d1.is_identity():
-                if project:
-                    continue
                 raise CellError("unexpected left coset part during reduction")
             by_d.setdefault(wd.d2, {})[wd.w] = c
         for d, terms in by_d.items():
@@ -379,25 +399,22 @@ class CellModule:
     def gram(self) -> list:
         """Gram matrix of the canonical invariant form: entry (i, j) is the
         coefficient g with element_i . sigma(element_j) congruent to
-        g . E^f x_lam modulo bigger cells."""
+        g . E^f x_lam modulo bigger cells.
+
+        The column of e_ref = E^f x_lam comes from the action of e_ref; by
+        linearity, checking there that element_k . e_ref is a multiple of
+        e_ref checks it for every pair."""
         if self._gram is None:
-            elts = self.elements()
-            sigs = [sigma(e) for e in elts]
             ref = self.pos[(self.tlam, IDENTITY)]
-            g = []
-            for i in range(self.dim):
-                row = []
-                for j in range(self.dim):
-                    coords = self.vector(mul(elts[i], sigs[j]), project=True)
-                    for k, c in enumerate(coords):
-                        if k != ref and c:
-                            raise CellError(
-                                "pairing product is not a multiple of the "
-                                "reference basis vector"
-                            )
-                    row.append(coords[ref])
-                g.append(row)
-            self._gram = g
+            base = []
+            for row in self.act_elt(self.element(ref)):
+                if any(c for k, c in enumerate(row) if k != ref):
+                    raise CellError(
+                        "pairing product is not a multiple of the "
+                        "reference basis vector"
+                    )
+                base.append(row[ref])
+            self._gram = _gram_from_base(self.act, base, self._words())
         return self._gram
 
     def gram_det(self) -> Coeff:
@@ -737,17 +754,20 @@ class VLayer:
         }
         self.dim = len(self.index)
         self._elements: Optional[List[AlgebraElt]] = None
+        self._act_cache: Dict[tuple, list] = {}
         self._gram: Optional[list] = None
+
+    def _words(self) -> List[Tuple[int, ...]]:
+        """Letters (a_1, ..., a_m) with basis vector (w, d) equal to
+        E_1 T_{a_1} ... T_{a_m}: the word of w, then that of d."""
+        return [w.word() + d.word() for w, d in self.index]
 
     def elements(self) -> List[AlgebraElt]:
         if self._elements is None:
-            out = []
-            for w, d in self.index:
-                letters = [E1]
-                letters += [T(i) for i in w.word()]
-                letters += [T(i) for i in d.word()]
-                out.append(elt_from_letters(letters, self.n))
-            self._elements = out
+            self._elements = [
+                elt_from_letters([E1] + [T(i) for i in word], self.n)
+                for word in self._words()
+            ]
         return self._elements
 
     def vector(self, x: AlgebraElt) -> List[Coeff]:
@@ -763,29 +783,29 @@ class VLayer:
         return coords
 
     def act(self, g) -> list:
-        return [self.vector(right_mul_gen(e, g)) for e in self.elements()]
+        """Matrix of the right action of a generator letter; row i is the
+        image of basis vector i."""
+        key = tuple(g)
+        if key not in self._act_cache:
+            self._act_cache[key] = [
+                self.vector(right_mul_gen(e, g)) for e in self.elements()
+            ]
+        return self._act_cache[key]
 
     def gram(self) -> list:
+        """Entry (i, j) is phi(x_i, x_j).  The column of E_1 comes from
+        x_k . E_1 = E_1 h_k, whose identity coefficient is phi(x_k, E_1); by
+        linearity, checking there that E_1 h_k stays in the Hecke window
+        checks it for every pair."""
         if self._gram is None:
-            elts = self.elements()
-            sigs = [sigma(e) for e in elts]
-            ident = NormalWord(1, IDENTITY, IDENTITY, IDENTITY)
-            g = []
-            for i in range(self.dim):
-                row = []
-                for j in range(self.dim):
-                    p = mul(elts[i], sigs[j])
-                    # p = E_1 h modulo deficiency >= 2; phi = trace of h
-                    for wd in p.terms:
-                        if wd.f == 1 and (
-                            not wd.d1.is_identity() or not wd.d2.is_identity()
-                        ):
-                            raise CellError(
-                                "sandwiched product left the Hecke window"
-                            )
-                    row.append(p.coeff(ident))
-                g.append(row)
-            self._gram = g
+            ref = self.pos[NormalWord(1, IDENTITY, IDENTITY, IDENTITY)]
+            base = []
+            outside = [not d.is_identity() for _, d in self.index]
+            for row in self.act(E1):
+                if any(c for c, out in zip(row, outside) if out):
+                    raise CellError("sandwiched product left the Hecke window")
+                base.append(row[ref])
+            self._gram = _gram_from_base(self.act, base, self._words())
         return self._gram
 
 

@@ -4,7 +4,6 @@ scans, products, and basis counts."""
 
 import json
 import os
-import sys
 from fractions import Fraction
 
 import click
@@ -22,9 +21,8 @@ from .algebra import (
     generator_elt,
     get_engine,
     mul as algebra_mul,
-    one_elt,
 )
-from .cells import CellError, cell_module, specialized_gram
+from .cells import cell_module, specialized_gram
 from .coefficients import (
     DELTA,
     IntegerExponent,
@@ -34,7 +32,6 @@ from .coefficients import (
     Z,
     ZINV,
     CoefficientError,
-    quantum_characteristic,
 )
 from .combinatorics import labels
 from .linalg import mat_det
@@ -124,8 +121,12 @@ def _emit(ctx, payload, exit_code=EXIT_OK):
     text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
     output = ctx.obj.get("output") if ctx.obj else None
     if output:
-        with open(output, "w") as fh:
-            fh.write(text)
+        try:
+            with open(output, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            click.echo(f"environment error: {exc}", err=True)
+            ctx.exit(EXIT_ENV)
     else:
         click.echo(text, nl=False)
     ctx.exit(exit_code)

@@ -1,6 +1,6 @@
 """Exact arithmetic in Z[q^{+-1}, z^{+-1}] and its fraction field.
 
-A ``LaurentPoly`` is a finite map from exponent pairs (i, j) to nonzero
+A Laurent polynomial is a plain dict from exponent pairs (i, j) to nonzero
 integers, representing sum of c * q^i * z^j.  A ``Coeff`` is a fraction of
 two such polynomials kept in a canonical form, so equality is plain
 structural equality and zero tests are exact.
@@ -288,30 +288,6 @@ def _umul_rows(rows, c: list):
 # ---------------------------------------------------------------------------
 # public types
 # ---------------------------------------------------------------------------
-
-
-class LaurentPoly:
-    """Immutable Laurent polynomial in q, z over the integers."""
-
-    __slots__ = ("terms", "_hash")
-
-    def __init__(self, terms: Terms):
-        self.terms = {k: v for k, v in terms.items() if v}
-        self._hash = None
-
-    def __hash__(self):
-        if self._hash is None:
-            self._hash = hash(frozenset(self.terms.items()))
-        return self._hash
-
-    def __eq__(self, other):
-        return isinstance(other, LaurentPoly) and self.terms == other.terms
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __repr__(self):
-        return f"LaurentPoly({poly_str(self.terms)})"
 
 
 def _canonical(num: Terms, den: Terms):

@@ -130,35 +130,6 @@ class HeckeElt:
         r.terms = out
         return r
 
-    def lmul_gen(self, i: int, inverse: bool = False) -> "HeckeElt":
-        """Left-multiply by T_i (or T_i^{-1})."""
-        lo, hi = self.window
-        if not (lo <= i < hi):
-            raise HeckeError(f"generator {i} outside window {self.window}")
-        out: Dict[Perm, Coeff] = {}
-
-        def add(w, c):
-            v = out.get(w, ZERO) + c
-            if v:
-                out[w] = v
-            else:
-                out.pop(w, None)
-
-        si = s(i)
-        for w, c in self.terms.items():
-            sw = si * w
-            if sw.length() > w.length():
-                add(sw, c)
-                if inverse:
-                    add(w, -A * c)
-            else:
-                add(sw, c)
-                if not inverse:
-                    add(w, A * c)
-        r = HeckeElt(self.window)
-        r.terms = out
-        return r
-
     def mul_word(self, word: Sequence[int], inverse: bool = False) -> "HeckeElt":
         out = self
         if inverse:

@@ -15,11 +15,9 @@ gate e > n); both routes must agree.
 from __future__ import annotations
 
 import random
-from functools import lru_cache
-from typing import Dict, Optional, Set, Union
+from typing import Optional, Set, Union
 
 from .coefficients import (
-    Coeff,
     CoefficientError,
     IntegerExponent,
     NumericPoint,
@@ -29,7 +27,7 @@ from .coefficients import (
     specialize,
 )
 from .combinatorics import labels, partitions
-from .cells import cell_module, specialized_gram
+from .cells import cell_module
 from .linalg import Fp, mat_det
 
 
@@ -63,18 +61,12 @@ def criterion(
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
-def _symbolic_gram(n: int, f: int, lam) -> tuple:
-    mod = cell_module(n, f, lam)
-    return tuple(tuple(row) for row in mod.gram())
-
-
 def gram_det_at(
     n: int, f: int, lam, spec: Optional[Specialization] = None
 ):
     """Determinant of the Gram matrix of the label (f, lam), optionally
     specialized (IntegerExponent keeps it symbolic in q)."""
-    g = [list(row) for row in _symbolic_gram(n, f, tuple(lam))]
+    g = [list(row) for row in cell_module(n, f, lam).gram()]
     if spec is not None:
         g = [[specialize(c, spec) for c in row] for row in g]
         if isinstance(spec, NumericPoint) and spec.characteristic:
@@ -85,29 +77,26 @@ def gram_det_at(
 DEFAULT_SEED = 0xD1CE
 
 
-def _det_is_zero_sym(
-    n: int, f: int, lam, a: int, prescreen: bool = True, seed: int = DEFAULT_SEED
-) -> bool:
+def _det_is_zero_sym(n: int, f: int, lam, a: int, seed: int = DEFAULT_SEED) -> bool:
     """Does det G_{f,lam}(q, q^a) vanish identically in q?
 
     A nonzero value at any sample point proves nonvanishing; only an
     all-zero pre-screen is confirmed symbolically."""
-    if prescreen:
-        rng = random.Random(seed + 31 * n + 7 * f + a)
-        p = 2_147_483_647
-        for _ in range(3):
-            q0 = rng.randrange(2, p - 1)
-            z0 = pow(q0, a, p) if a >= 0 else pow(pow(q0, -1, p), -a, p)
-            try:
-                point = NumericPoint(p, q0, z0)
-            except CoefficientError:
-                continue  # z0^2 = 1, as always at a = 0: not a valid point
-            try:
-                d = gram_det_at(n, f, lam, point)
-            except PoleError:
-                continue
-            if d:
-                return False
+    rng = random.Random(seed + 31 * n + 7 * f + a)
+    p = 2_147_483_647
+    for _ in range(3):
+        q0 = rng.randrange(2, p - 1)
+        z0 = pow(q0, a, p) if a >= 0 else pow(pow(q0, -1, p), -a, p)
+        try:
+            point = NumericPoint(p, q0, z0)
+        except CoefficientError:
+            continue  # z0^2 = 1, as always at a = 0: not a valid point
+        try:
+            d = gram_det_at(n, f, lam, point)
+        except PoleError:
+            continue
+        if d:
+            return False
     return not gram_det_at(n, f, lam, IntegerExponent(a))
 
 

@@ -6,6 +6,7 @@ import pytest
 
 from qbrauer.algebra import (
     E1,
+    NormalWord,
     T,
     Tinv,
     generator_elt,
@@ -42,6 +43,7 @@ from qbrauer.coefficients import (
     specialize,
 )
 from qbrauer.combinatorics import (
+    IDENTITY,
     coset_reps_D,
     labels,
     partitions,
@@ -245,19 +247,32 @@ def test_gram_symmetric_and_sigma_invariant():
 
 
 def test_gram_contracts_action():
-    # G A_x = A_{sigma(x)}^tr G for every generator: the form is
-    # contravariant with respect to the involution.
-    for n, f, lam in small_labels(3):
+    # <x . a, y> = <x, y . sigma(a)> reads A_a G = G A_{sigma(a)}^tr, and
+    # sigma fixes T_i, T_i^-1 and E_1.
+    for n, f, lam in small_labels(4):
         m = cell_module(n, f, lam)
         g = m.gram()
-        for gen in gens(n):
+        for gen in gens(n) + [Tinv(i) for i in range(1, n)]:
             ax = m.act(gen)
-            # sigma fixes T_i and E_1
-            lhs = mat_mul(g, _transpose(ax))
-            rhs = mat_mul(ax, g)
-            assert lhs == _transpose(rhs) or mat_mul(ax, g) == mat_mul(
-                g, _transpose(ax)
-            )
+            assert mat_mul(ax, g) == mat_mul(g, _transpose(ax)), (n, f, lam, gen)
+
+
+def test_gram_matches_algebra_products():
+    # the product route: element_i . sigma(element_j) reduced in the module
+    # is a multiple of the reference basis vector E^f x_lam
+    for n, f, lam in labels_upto(4):
+        m = cell_module(n, f, lam)
+        ref = m.pos[(m.tlam, IDENTITY)]
+        elts = m.elements()
+        want = []
+        for x in elts:
+            row = []
+            for y in elts:
+                coords = m.vector(mul(x, sigma(y)))
+                assert all(not c for k, c in enumerate(coords) if k != ref)
+                row.append(coords[ref])
+            want.append(row)
+        assert m.gram() == want, (n, f, lam)
 
 
 def _transpose(m):
@@ -390,6 +405,16 @@ def test_v_layer_gram_symmetric_and_action_selfadjoint():
             ak = v.act(T(k))
             assert ak == _transpose(ak), (n, k)
             assert mat_mul(g, ak) == mat_mul(ak, g), (n, k)
+
+
+def test_v_layer_gram_matches_algebra_products():
+    # phi(x, y) is the identity coefficient of x . sigma(y) = E_1 h
+    for n in (2, 3, 4):
+        v = VLayer(n)
+        ident = NormalWord(1, IDENTITY, IDENTITY, IDENTITY)
+        elts = v.elements()
+        want = [[mul(x, sigma(y)).coeff(ident) for y in elts] for x in elts]
+        assert v.gram() == want, n
 
 
 def test_v_form_entry_shapes():

@@ -154,6 +154,14 @@ def test_output_file(tmp_path):
     assert data["count"] == 3
 
 
+def test_unwritable_output_is_environment_error(tmp_path):
+    path = tmp_path / "missing" / "report.json"
+    res = run("--output", str(path), "basis-count", "--n", "2")
+    assert res.exit_code == 3
+    assert "environment error" in res.stderr
+    assert "Traceback" not in res.output
+
+
 def test_cache_dir_flag(tmp_path):
     res = run("--cache-dir", str(tmp_path), "verify-relations", "--n", "2")
     assert res.exit_code == 0

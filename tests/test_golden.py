@@ -1,7 +1,9 @@
 """CLI reports byte for byte: the benchmark's rank-4 reports against those
-frozen from the seed program in perfbench/expected/, and three rank-5
-reports against those frozen in tests/golden/ before the cell modules
-multiplied through their generator matrices."""
+frozen from the seed program in perfbench/expected/, and the reports in
+tests/golden/: three rank-5 reports frozen before the cell modules
+multiplied through their generator matrices, and four Gram and
+semisimplicity reports frozen while Gram matrices were still paired by
+algebra products."""
 
 import os
 
@@ -22,10 +24,18 @@ JOBS = {
     "verify-relations-n4": ["verify-relations", "--n", "4"],
 }
 
-RANK_FIVE_JOBS = {
+GOLDEN_JOBS = {
     "jm-spectrum-n5-f1-2-1": ["jm-spectrum", "--n", "5", "--f", "1", "--lambda", "[2,1]"],
     "jm-spectrum-n5-f2-1": ["jm-spectrum", "--n", "5", "--f", "2", "--lambda", "[1]"],
     "branching-n5-f1-2-1": ["branching", "--n", "5", "--f", "1", "--lambda", "[2,1]"],
+    "gram-n4-f1-1-1": ["gram", "--n", "4", "--f", "1", "--lambda", "[1,1]"],
+    "gram-n4-f0-3-1-numeric": [
+        "gram", "--n", "4", "--f", "0", "--lambda", "[3,1]", "--numeric", "10007,3,9"
+    ],
+    "gram-n5-f2-1-z1": [
+        "gram", "--n", "5", "--f", "2", "--lambda", "[1]", "--z-exp", "1"
+    ],
+    "semisimple-n5-numeric": ["semisimple", "--n", "5", "--numeric", "10007,3,9"],
 }
 
 
@@ -44,7 +54,7 @@ def test_report_is_byte_identical(name, tmp_path, monkeypatch):
     check_report(path, JOBS[name], tmp_path, monkeypatch)
 
 
-@pytest.mark.parametrize("name", sorted(RANK_FIVE_JOBS))
+@pytest.mark.parametrize("name", sorted(GOLDEN_JOBS))
 def test_rank_five_report_is_byte_identical(name, tmp_path, monkeypatch):
     path = os.path.join(GOLDEN, name + ".json")
-    check_report(path, RANK_FIVE_JOBS[name], tmp_path, monkeypatch)
+    check_report(path, GOLDEN_JOBS[name], tmp_path, monkeypatch)
