@@ -47,6 +47,7 @@ from .coefficients import (
     Specialization,
     ZERO,
     Q,
+    Z,
     specialize,
 )
 from .combinatorics import (
@@ -82,7 +83,7 @@ from .algebra import (
     right_mul_gen,
     tilde_e1,
 )
-from .linalg import Fp, kernel_basis, in_row_span, mat_inverse, mat_mul, mat_rank
+from .linalg import kernel_basis, in_row_span, mat_inverse, mat_mul, mat_rank
 
 CellLabel = Tuple[int, Partition]
 
@@ -178,20 +179,6 @@ class _MurphySolver:
         return out
 
 
-def _rows_times(rows: list, mat: list) -> list:
-    """rows . mat, visiting only the nonzero entries of both."""
-    sparse = [[(j, a) for j, a in enumerate(r) if a] for r in mat]
-    out = []
-    for r in rows:
-        acc = [ZERO] * len(mat[0])
-        for i, x in enumerate(r):
-            if x:
-                for j, a in sparse[i]:
-                    acc[j] = acc[j] + x * a
-        out.append(acc)
-    return out
-
-
 def _gram_from_base(act, base: list, words: List[Tuple[int, ...]]) -> list:
     """Gram matrix of an invariant form on a right module whose basis vector
     j is e_ref . T_{a_1} ... T_{a_m} with (a_1, ..., a_m) = words[j] and
@@ -200,14 +187,10 @@ def _gram_from_base(act, base: list, words: List[Tuple[int, ...]]) -> list:
     action of the generator g (row i is the image of basis vector i)."""
     columns = []
     for word in words:
-        col = base
+        col = [[x] for x in base]
         for a in word:
-            mat = act(T(a))
-            col = [
-                sum((x * col[k] for k, x in enumerate(row) if x), ZERO)
-                for row in mat
-            ]
-        columns.append(col)
+            col = mat_mul(act(T(a)), col)
+        columns.append([x for x, in col])
     return [list(row) for row in zip(*columns)]
 
 
@@ -381,7 +364,7 @@ class CellModule:
             prod = None
             for g in letters:
                 mat = self.act(g)
-                prod = mat if prod is None else _rows_times(prod, mat)
+                prod = mat if prod is None else mat_mul(prod, mat)
             if prod is None:
                 prod = [
                     [ONE if i == j else ZERO for j in range(dim)]
@@ -821,8 +804,6 @@ def v_form_entry_shapes(n: int) -> dict:
     """Check the predicted entry shapes of the f=1 form: diagonal entries are
     delta plus (q - q^{-1}) z (Laurent in q); off-diagonal entries are z
     times a Laurent polynomial in q alone."""
-    from .coefficients import Z
-
     g = VLayer(n).gram()
     diag_ok = True
     off_ok = True
@@ -879,47 +860,27 @@ def admissible(lam, mu, spec: Optional[Specialization] = None) -> bool:
     the parameter relation z^2 = q^{2 - 2(c(p1)+c(p2))} holding under spec
     (symbolically independent parameters never satisfy the relation)."""
     e0 = admissible_exponent(lam, mu)
-    if e0 is None:
+    if e0 is None or spec is None:
         return False
-    if spec is None:
-        return False
-    if isinstance(spec, IntegerExponent):
-        return 2 * spec.a == e0
-    if isinstance(spec, NumericPoint):
-        p = spec.characteristic
-        if p == 0:
-            from fractions import Fraction
-
-            return Fraction(spec.z0) ** 2 == Fraction(spec.q0) ** e0
-        q0 = spec.q0 % p
-        z0 = spec.z0 % p
-        qe = pow(q0, e0, p) if e0 >= 0 else pow(pow(q0, -1, p), -e0, p)
-        return (z0 * z0 - qe) % p == 0
-    raise CellError(f"unsupported specialization {spec!r}")
+    if not isinstance(spec, (IntegerExponent, NumericPoint)):
+        raise CellError(f"unsupported specialization {spec!r}")
+    return not specialize(Z * Z - Q**e0, spec)
 
 
 def specialized_gram(mod: CellModule, spec: Optional[Specialization]) -> list:
+    """The Gram matrix of mod, with entries specialized when spec is given
+    (field elements at a NumericPoint, Coeff in q alone at an
+    IntegerExponent); the cached matrix itself when spec is None."""
     g = mod.gram()
     if spec is None:
         return g
     return [[specialize(c, spec) for c in row] for row in g]
 
 
-def _to_field(x, spec):
-    """Wrap a specialized scalar so the linear algebra has field operations."""
-    if isinstance(spec, NumericPoint) and spec.characteristic:
-        return Fp(x, spec.characteristic)
-    return x
-
-
 def radical_dim(n: int, f: int, lam, spec: Optional[Specialization] = None) -> int:
     """Corank of the (possibly specialized) Gram matrix of C(f, lam)."""
     mod = cell_module(n, f, lam)
-    g = specialized_gram(mod, spec)
-    g = [[_to_field(x, spec) for x in row] for row in g]
-    if not g:
-        return 0
-    return mod.dim - mat_rank(g)
+    return mod.dim - mat_rank(specialized_gram(mod, spec))
 
 
 def radical_factor_shape(n: int, mu, spec: Specialization):
@@ -928,31 +889,22 @@ def radical_factor_shape(n: int, mu, spec: Specialization):
     Jucys-Murphy traces on the radical.  Returns None when the radical is
     zero; raises CellError when the spectrum does not single out a shape."""
     mod = cell_module(n, 1, tuple(mu))
-    g = specialized_gram(mod, spec)
-    g = [[_to_field(x, spec) for x in row] for row in g]
-    kern = kernel_basis(g)
+    kern = kernel_basis(specialized_gram(mod, spec))
     if not kern:
         return None
     # traces of each Jucys-Murphy element on the radical
     traces = []
     for k in range(1, n + 1):
         mk = [
-            [_to_field(specialize(c, spec), spec) for c in row]
+            [specialize(c, spec) for c in row]
             for row in mod._terms_matrix(jm_terms(k, n))
         ]
-        rows = []
-        for v in kern:
-            img = [
-                sum((v[i] * mk[i][j] for i in range(mod.dim) if v[i]), start=v[0] - v[0])
-                for j in range(mod.dim)
-            ]
+        tr = None
+        for i, img in enumerate(mat_mul(kern, mk)):
             coeffs = in_row_span(kern, img)
             if coeffs is None:
                 raise CellError("radical is not invariant under L_k")
-            rows.append(coeffs)
-        tr = rows[0][0] - rows[0][0]
-        for i in range(len(kern)):
-            tr = tr + rows[i][i]
+            tr = coeffs[i] if tr is None else tr + coeffs[i]
         traces.append(tr)
     # candidates: mu plus two boxes not in one column
     candidates = []
@@ -977,7 +929,7 @@ def radical_factor_shape(n: int, mu, spec: Specialization):
                     for m in range(n + 1)
                 ]
                 cu = ct_eigenvalue(UpDownTableau(path), k)
-                val = _to_field(specialize(cu, spec), spec)
+                val = specialize(cu, spec)
                 tk = val if tk is None else tk + val
             expected.append(tk)
         if expected == traces:

@@ -239,7 +239,7 @@ def gram(ctx, n, f, lam, z_exp, numeric):
     spec = _spec_from_flags(z_exp, numeric)
     mod = cell_module(n, f, lam)
     g = specialized_gram(mod, spec)
-    det = mat_det([list(row) for row in g])
+    det = mat_det(g)
     payload = {
         "command": "gram",
         "config": _config(n, f=f, **{"lambda": list(lam)}, z_exp=z_exp, numeric=numeric),

@@ -1,8 +1,15 @@
-"""Exact dense linear algebra over any field-like coefficient type.
+"""Exact dense linear algebra over a field.
 
-Entries must support +, -, *, / and be falsy exactly when zero (Coeff,
-fractions.Fraction and the Fp wrapper below all qualify).  Matrices are
-lists of lists, rows first.
+Entries must be field elements of one type: Coeff, fractions.Fraction or
+coefficients.Fp (the values specialize returns), closed under +, -, *, /
+and falsy exactly when zero.  Plain int and float entries are refused with
+LinAlgError, since int / int would turn into a float.  Matrices are lists
+of lists, rows first.
+
+Everything that eliminates rests on one forward elimination (_echelon) and
+one back-substitution (_back_substitute): rank and determinant read the
+echelon form; inverse, kernel and row-span membership read the reduced
+form.  mat_mul is a sparse row product.
 """
 
 from __future__ import annotations
@@ -14,97 +21,49 @@ class LinAlgError(ValueError):
     pass
 
 
-class Fp:
-    """Element of the prime field Z/p for fast numeric rank/det work."""
-
-    __slots__ = ("v", "p")
-
-    def __init__(self, v: int, p: int):
-        self.v = v % p
-        self.p = p
-
-    def _coerce(self, other) -> "Fp":
-        if isinstance(other, Fp):
-            if other.p != self.p:
-                raise LinAlgError("mixed characteristics")
-            return other
-        return Fp(int(other), self.p)
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        return Fp(self.v + o.v, self.p)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return Fp(-self.v, self.p)
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        return Fp(self.v - o.v, self.p)
-
-    def __rsub__(self, other):
-        return self._coerce(other) - self
-
-    def __mul__(self, other):
-        o = self._coerce(other)
-        return Fp(self.v * o.v, self.p)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        if o.v == 0:
-            raise ZeroDivisionError("division by zero in F_p")
-        return Fp(self.v * pow(o.v, -1, self.p), self.p)
-
-    def __bool__(self):
-        return self.v != 0
-
-    def __eq__(self, other):
-        if isinstance(other, int):
-            return self.v == other % self.p
-        return isinstance(other, Fp) and self.p == other.p and self.v == other.v
-
-    def __hash__(self):
-        return hash((self.v, self.p))
-
-    def __repr__(self):
-        return f"{self.v} (mod {self.p})"
-
-
 Matrix = List[List]
 
 
-def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    if not a or not b:
-        return []
-    cols = len(b[0])
-    return [
-        [
-            sum((x * b[k][j] for k, x in enumerate(row) if x), start=_zero_like(a))
-            for j in range(cols)
-        ]
-        for row in a
-    ]
-
-
-def _zero_like(a: Matrix):
-    for row in a:
+def _zero_like(m: Matrix):
+    for row in m:
         for x in row:
             return x - x
     raise LinAlgError("empty matrix has no sample entry")
 
 
+def mat_mul(a: Matrix, b: Matrix) -> Matrix:
+    """a . b, visiting only the nonzero entries of both."""
+    if not a or not b:
+        return []
+    zero = _zero_like(b)
+    sparse = [[(j, y) for j, y in enumerate(row) if y] for row in b]
+    out = []
+    for row in a:
+        acc = [zero] * len(b[0])
+        for x, brow in zip(row, sparse):
+            if x:
+                for j, y in brow:
+                    acc[j] = acc[j] + x * y
+        out.append(acc)
+    return out
+
+
 def _echelon(m: Matrix) -> Tuple[Matrix, int, list]:
-    """Row echelon form by exact division; returns (rows, swaps, pivot cols)."""
+    """Row echelon form of a copy of m by exact elimination; returns (rows,
+    swaps, pivot columns)."""
     rows = [list(r) for r in m]
+    for r in rows:
+        for x in r:
+            if isinstance(x, (int, float)):
+                raise LinAlgError(f"entry {x!r} is not a field element")
     nrows = len(rows)
     ncols = len(rows[0]) if rows else 0
     swaps = 0
     pivots = []
     r = 0
     for c in range(ncols):
+        if r == nrows:
+            break
         pr = next((i for i in range(r, nrows) if rows[i][c]), None)
         if pr is None:
             continue
@@ -112,24 +71,35 @@ def _echelon(m: Matrix) -> Tuple[Matrix, int, list]:
             rows[r], rows[pr] = rows[pr], rows[r]
             swaps += 1
         pivots.append(c)
-        pv = rows[r][c]
+        prow = rows[r]
+        pv = prow[c]
         for i in range(r + 1, nrows):
-            if rows[i][c]:
-                factor = rows[i][c] / pv
-                rows[i] = [
-                    x - factor * y for x, y in zip(rows[i], rows[r])
-                ]
+            x = rows[i][c]
+            if x:
+                factor = x / pv
+                rows[i] = [a - factor * y if y else a for a, y in zip(rows[i], prow)]
         r += 1
-        if r == nrows:
-            break
     return rows, swaps, pivots
+
+
+def _back_substitute(rows: Matrix, pivots: list) -> Matrix:
+    """Reduced row echelon form of an echelon form from _echelon, in place:
+    every pivot becomes one and the entries above it zero."""
+    for i in range(len(pivots) - 1, -1, -1):
+        c = pivots[i]
+        pv = rows[i][c]
+        prow = rows[i] = [x / pv if x else x for x in rows[i]]
+        for k in range(i):
+            x = rows[k][c]
+            if x:
+                rows[k] = [a - x * y if y else a for a, y in zip(rows[k], prow)]
+    return rows
 
 
 def mat_rank(m: Matrix) -> int:
     if not m or not m[0]:
         return 0
-    _, _, pivots = _echelon(m)
-    return len(pivots)
+    return len(_echelon(m)[2])
 
 
 def mat_det(m: Matrix):
@@ -141,91 +111,63 @@ def mat_det(m: Matrix):
     zero = _zero_like(m)
     if len(pivots) < len(m):
         return zero
-    det = zero + 1 if not isinstance(m[0][0], Fp) else Fp(1, m[0][0].p)
-    for i in range(len(m)):
-        det = det * rows[i][pivots[i]]
-    if swaps % 2:
-        det = zero - det
-    return det
+    det = zero + 1
+    for i, c in enumerate(pivots):
+        det = det * rows[i][c]
+    return -det if swaps % 2 else det
 
 
 def mat_inverse(m: Matrix) -> Matrix:
+    """Inverse of a square matrix, by reducing [m | I] to [I | m^-1]."""
     n = len(m)
     if any(len(r) != n for r in m):
         raise LinAlgError("inverse needs a square matrix")
     zero = _zero_like(m)
-    one = zero + 1 if not isinstance(m[0][0], Fp) else Fp(1, m[0][0].p)
-    aug = [list(m[i]) + [one if j == i else zero for j in range(n)] for i in range(n)]
-    for c in range(n):
-        pr = next((i for i in range(c, n) if aug[i][c]), None)
-        if pr is None:
-            raise LinAlgError("matrix is singular")
-        if pr != c:
-            aug[c], aug[pr] = aug[pr], aug[c]
-        pv = aug[c][c]
-        aug[c] = [x / pv for x in aug[c]]
-        for i in range(n):
-            if i != c and aug[i][c]:
-                f = aug[i][c]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[c])]
-    return [row[n:] for row in aug]
+    one = zero + 1
+    aug = [
+        list(r) + [one if j == i else zero for j in range(n)]
+        for i, r in enumerate(m)
+    ]
+    rows, _, pivots = _echelon(aug)
+    if pivots != list(range(n)):
+        raise LinAlgError("matrix is singular")
+    return [row[n:] for row in _back_substitute(rows, pivots)]
 
 
 def kernel_basis(m: Matrix) -> List[list]:
-    """Basis of the left kernel {v : v * m = 0} (row vectors)."""
+    """Basis of the left kernel {v : v . m = 0} (row vectors): the right
+    kernel of m^T, one vector per free column of its reduced form."""
     if not m:
         return []
-    # left kernel of m = right kernel of m^T; work with rows of m^T = columns
     mt = [list(col) for col in zip(*m)]
-    nrows = len(mt)
-    ncols = len(mt[0])
     rows, _, pivots = _echelon(mt)
+    rows = _back_substitute(rows, pivots)
     zero = _zero_like(m)
-    one = zero + 1 if not isinstance(m[0][0], Fp) else Fp(1, m[0][0].p)
-    # back-substitute free columns of the echelon form of m^T
-    free = [c for c in range(ncols) if c not in pivots]
+    one = zero + 1
     basis = []
-    for fc in free:
-        v = [zero] * ncols
+    for fc in range(len(m)):
+        if fc in pivots:
+            continue
+        v = [zero] * len(m)
         v[fc] = one
-        # solve pivot entries from bottom up
-        for i in range(len(pivots) - 1, -1, -1):
-            pc = pivots[i]
-            acc = zero
-            for c in range(pc + 1, ncols):
-                if rows[i][c] and v[c]:
-                    acc = acc + rows[i][c] * v[c]
-            if acc:
-                v[pc] = zero - acc / rows[i][pc]
+        for i, pc in enumerate(pivots):
+            v[pc] = -rows[i][fc]
         basis.append(v)
     return basis
 
 
 def in_row_span(span_rows: Matrix, v: Sequence) -> Optional[list]:
-    """Coefficients expressing v as a combination of span_rows, or None."""
+    """Coefficients c with c . span_rows = v, or None when v is not in the
+    row span: one elimination of the system [span_rows^T | v^T]."""
     if not span_rows:
         return None if any(v) else []
-    aug = [list(r) for r in span_rows] + [list(v)]
-    if mat_rank(aug) == mat_rank([list(r) for r in span_rows]):
-        # solve c * span = v via least-structure elimination on the transpose
-        zero = _zero_like(span_rows)
-        k = len(span_rows)
-        cols = len(v)
-        # build system: for each column j, sum_i c_i span[i][j] = v[j]
-        a = [[span_rows[i][j] for i in range(k)] for j in range(cols)]
-        rhs = [v[j] for j in range(cols)]
-        # gaussian solve of a * c = rhs (overdetermined, consistent)
-        rowsys = [a[j] + [rhs[j]] for j in range(cols)]
-        rows, _, pivots = _echelon(rowsys)
-        c = [zero] * k
-        for i in range(len(pivots) - 1, -1, -1):
-            pc = pivots[i]
-            if pc == k:
-                return None  # inconsistent
-            acc = rows[i][k]
-            for j in range(pc + 1, k):
-                if rows[i][j] and c[j]:
-                    acc = acc - rows[i][j] * c[j]
-            c[pc] = acc / rows[i][pc]
-        return c
-    return None
+    k = len(span_rows)
+    system = [[r[j] for r in span_rows] + [v[j]] for j in range(len(v))]
+    rows, _, pivots = _echelon(system)
+    if pivots and pivots[-1] == k:
+        return None
+    rows = _back_substitute(rows, pivots)
+    c = [_zero_like(span_rows)] * k
+    for i, pc in enumerate(pivots):
+        c[pc] = rows[i][k]
+    return c

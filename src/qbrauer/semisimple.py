@@ -22,13 +22,15 @@ from .coefficients import (
     IntegerExponent,
     NumericPoint,
     PoleError,
+    Q,
     Specialization,
+    Z,
     quantum_characteristic,
     specialize,
 )
 from .combinatorics import labels, partitions
-from .cells import cell_module
-from .linalg import Fp, mat_det
+from .cells import cell_module, specialized_gram
+from .linalg import mat_det
 
 
 class SemisimpleError(ValueError):
@@ -66,12 +68,7 @@ def gram_det_at(
 ):
     """Determinant of the Gram matrix of the label (f, lam), optionally
     specialized (IntegerExponent keeps it symbolic in q)."""
-    g = [list(row) for row in cell_module(n, f, lam).gram()]
-    if spec is not None:
-        g = [[specialize(c, spec) for c in row] for row in g]
-        if isinstance(spec, NumericPoint) and spec.characteristic:
-            g = [[Fp(x, spec.characteristic) for x in row] for row in g]
-    return mat_det(g)
+    return mat_det(specialized_gram(cell_module(n, f, lam), spec))
 
 
 DEFAULT_SEED = 0xD1CE
@@ -167,9 +164,10 @@ def brute_semisimple(n: int, spec: NumericPoint) -> dict:
             f"verification routes disagree at {spec}: full={full_ok}, "
             f"reduced={reduced_ok}"
         )
-    # theorem prediction from the numeric relation z^2 = q^{2a}
-    predicted = e > n and not any(
-        _relation_holds(spec, a) for a in bad_exponent_set(n)
+    # theorem prediction from the numeric relation z^2 = q^{2a}: a bad a
+    # has z0^2 - q0^{2a} = 0
+    predicted = e > n and all(
+        specialize(Z * Z - Q ** (2 * a), spec) for a in bad_exponent_set(n)
     )
     return {
         "n": n,
@@ -185,16 +183,3 @@ def brute_semisimple(n: int, spec: NumericPoint) -> dict:
         "predicted": predicted,
         "verdict": "semisimple" if full_ok else "not semisimple",
     }
-
-
-def _relation_holds(spec: NumericPoint, a: int) -> bool:
-    """Whether z0^2 = q0^{2a} at the numeric point."""
-    p = spec.characteristic
-    if p == 0:
-        from fractions import Fraction
-
-        return Fraction(spec.z0) ** 2 == Fraction(spec.q0) ** (2 * a)
-    q0, z0 = spec.q0 % p, spec.z0 % p
-    lhs = (z0 * z0) % p
-    rhs = pow(q0, 2 * a, p) if a >= 0 else pow(pow(q0, -1, p), -2 * a, p)
-    return lhs == rhs

@@ -480,3 +480,40 @@ def test_radical_factor_rank_four():
         assert admissible(shape, (2,), spec)
     except CellError:
         pass
+
+
+def _shape_or_error(n, mu, spec):
+    try:
+        return radical_factor_shape(n, mu, spec)
+    except CellError as exc:
+        return f"CellError: {exc}"
+
+
+def test_radical_over_prime_field_matches_integer_exponent():
+    # z0 = q0^a in F_10007 against z = q^a in Q(q); a = 0 (z0 = 1, delta = 0)
+    # is not a valid numeric point
+    p, q0 = 10007, 3
+    bad = []
+    for n in (3, 4):
+        for mu in partitions(n - 2):
+            for a in range(-5, 5):
+                if a == 0:
+                    continue
+                point = NumericPoint(p, q0, pow(q0, a, p))
+                sym = IntegerExponent(a)
+                corank = radical_dim(n, 1, mu, sym)
+                assert radical_dim(n, 1, mu, point) == corank, (n, mu, a)
+                assert _shape_or_error(n, mu, point) == _shape_or_error(
+                    n, mu, sym
+                ), (n, mu, a)
+                if corank:
+                    bad.append((n, mu, a))
+    # the admissible exponents a != 0 of criterion 9 at ranks 3 and 4
+    assert bad == [
+        (3, (1,), -2),
+        (3, (1,), 1),
+        (4, (2,), -4),
+        (4, (2,), 2),
+        (4, (1, 1), -2),
+        (4, (1, 1), 2),
+    ]

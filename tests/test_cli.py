@@ -61,6 +61,18 @@ def test_gram_bad_exponent_determinant_vanishes():
     assert data["determinant_is_zero"] is True
 
 
+def test_gram_numeric_determinant_is_computed_in_the_prime_field():
+    # z0 = 1112 = 3^-2 mod 10007 is the bad point z = q^-2 of C(1, [1])
+    args = ("--n", "3", "--numeric", "10007,3,1112")
+    data = run_json("gram", *args, "--f", "1", "--lambda", "[1]")
+    assert data["determinant"] == "0"
+    assert data["determinant_is_zero"] is True
+    assert all(0 <= int(x) < 10007 for row in data["matrix"] for x in row)
+    report = run_json("semisimple", *args)["report"]
+    witness = {(w["f"], tuple(w["lambda"])): w["det_zero"] for w in report["labels"]}
+    assert witness[(1, (1,))] is True
+
+
 def test_gram_hecke_label_nonzero():
     data = run_json("gram", "--n", "3", "--f", "0", "--lambda", "[2,1]")
     assert data["determinant_is_zero"] is False

@@ -12,6 +12,7 @@ from qbrauer.coefficients import (
     CoefficientError,
     DELTA,
     DivisionByZero,
+    Fp,
     IntegerExponent,
     NumericPoint,
     ONE,
@@ -61,6 +62,28 @@ def test_specialize_numeric_point():
     assert specialize(DELTA, NumericPoint(7, 3, 2)) == 1
     got = specialize(DELTA, NumericPoint(0, 2, 3))
     assert got == (Fraction(3) - Fraction(1, 3)) / (Fraction(2) - Fraction(1, 2))
+
+
+def test_specialized_values_are_field_elements():
+    # (z - z^-1)/(q - q^-1) at q = 3, z = 2 in F_7 is (2 - 4)/(3 - 5) = 1
+    at_7 = specialize(DELTA, NumericPoint(7, 3, 2))
+    assert isinstance(at_7, Fp) and at_7.p == 7
+    assert str(at_7) == "1" and str(specialize(-ONE, NumericPoint(7, 3, 2))) == "6"
+    assert at_7 / specialize(Q, NumericPoint(7, 3, 2)) == 5  # 1/3 = 5 mod 7
+    assert isinstance(specialize(DELTA, NumericPoint(0, 2, 3)), Fraction)
+    assert isinstance(specialize(DELTA, IntegerExponent(2)), Coeff)
+
+
+def test_fp_refuses_other_fields():
+    x = Fp(3, 7)
+    with pytest.raises(CoefficientError):
+        x + Fp(3, 11)
+    for other in (0.5, Fraction(1, 2)):
+        with pytest.raises(TypeError):
+            x * other
+    with pytest.raises(ZeroDivisionError):
+        x / Fp(7, 7)
+    assert 1 - x == Fp(5, 7) and 2 / x == Fp(3, 7)
 
 
 def test_numeric_point_validation():
