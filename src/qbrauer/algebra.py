@@ -12,7 +12,9 @@ mutually recursive rewriting primitives:
 
 Left multiplication is reduced to right multiplication through the
 anti-involution sigma, which acts on basis words by an exact flip
-(f, d1, w, d2) -> (f, d2, w^{-1}, d1).
+(f, d1, w, d2) -> (f, d2, w^{-1}, d1).  Products in the Hecke algebra of
+S_n (the quadratic rule) are expanded by hecke.HeckeElt.mul_gen, also on
+the left, through the anti-automorphism star.
 
 The engine memoizes reduce, sand and the right action of each generator on
 each normal word.  Memo values are shared between callers (MulTable stores
@@ -21,6 +23,11 @@ AlgebraElt builds a new element.  Products of whole elements replay the
 generator letters of the right factor's normal words (mul); a cell module
 applies those same letters as its cached generator matrices instead
 (cells.CellModule.act_elt).
+
+MulTable is the regular representation: the action of every generator on
+every normal word, cached on disk in a checksummed file keyed by the
+digest of the rule sources.  verify-relations checks the defining
+relations on it and does not run the engine when the cache is warm.
 
 Defining relations (the braid and quadratic relations of the T_i together
 with):
@@ -34,8 +41,10 @@ with an independent free-quotient oracle at small rank.
 
 from __future__ import annotations
 
-import os
 import json
+import os
+import zlib
+from functools import lru_cache
 from typing import Dict, Iterable, List, NamedTuple, Sequence, Tuple
 
 from .coefficients import (
@@ -47,6 +56,7 @@ from .coefficients import (
     Z,
     ZERO,
     ZINV,
+    add_term,
     parse_coeff,
 )
 from .combinatorics import (
@@ -54,11 +64,11 @@ from .combinatorics import (
     Perm,
     config_to_rep,
     coset_reps_D,
-    perm_from_word,
     s,
     seg,
     seg_word,
 )
+from .hecke import HeckeElt
 
 
 class AlgebraError(ValueError):
@@ -110,11 +120,7 @@ class AlgebraElt:
         self._check(other)
         out = dict(self.terms)
         for w, c in other.terms.items():
-            v = out.get(w, ZERO) + c
-            if v:
-                out[w] = v
-            else:
-                out.pop(w, None)
+            add_term(out, w, c)
         r = AlgebraElt(self.n)
         r.terms = out
         return r
@@ -254,10 +260,9 @@ class Engine:
                 inner = self.reduce(f, s(m) * u)
                 out: Dict[Tuple[Perm, Perm], Coeff] = {}
                 for (omega, dd), c in inner.items():
-                    sw = s(m) * omega
-                    _dadd(out, (sw, dd), c)
-                    if sw.length() < omega.length():
-                        _dadd(out, (omega, dd), A * c)
+                    tm = self._hecke_word_times([(m, False)], omega)
+                    for sw, c2 in tm.items():
+                        add_term(out, (sw, dd), c * c2)
                 return out
         # (4) word starting T_{2j} T_{2j+1}: the pair-block relation gives the
         # length-preserving rewrite E^f T_{2j} T_{2j+1} X = E^f T_{2j} T_{2j-1} X
@@ -271,7 +276,7 @@ class Engine:
                         [(m, False), (m - 1, False)], rest
                     ).items():
                         for kd, c2 in self.reduce(f, u2).items():
-                            _dadd(out, kd, c * c2)
+                            add_term(out, kd, c * c2)
                     return out
         # (5) last resort: graft a pair block,
         # E^f T_m X = E^f T_m T_{m+1} T_{m-1}^{-1} X
@@ -283,32 +288,20 @@ class Engine:
                     [(m, False), (m + 1, False), (m - 1, True)], rest
                 ).items():
                     for kd, c2 in self.reduce(f, u2).items():
-                        _dadd(out, kd, c * c2)
+                        add_term(out, kd, c * c2)
                 return out
         raise StuckWordError(
             f"no rule applies to E^{f} T_{list(u.word())}", f, u
         )
 
     def _hecke_word_times(self, letters, rest: Perm) -> Dict[Perm, Coeff]:
-        """Expand T_{letters} . T_rest in the Hecke algebra of S_n as a
-        combination of T_u.  letters = [(i, inverse?)] applied left to right,
-        multiplied from the right end onto T_rest's left."""
-        terms: Dict[Perm, Coeff] = {rest: ONE}
-        for i, invflag in reversed(letters):
-            nxt: Dict[Perm, Coeff] = {}
-            si = s(i)
-            for w, c in terms.items():
-                sw = si * w
-                if sw.length() > w.length():
-                    _dadd(nxt, sw, c)
-                    if invflag:
-                        _dadd(nxt, w, -A * c)
-                else:
-                    _dadd(nxt, sw, c)
-                    if not invflag:
-                        _dadd(nxt, w, A * c)
-            terms = nxt
-        return terms
+        """Expand T_{l1} ... T_{lk} . T_rest in the Hecke algebra of S_n as a
+        combination of T_u, for letters = [(l, inverse?)], as the image under
+        the anti-automorphism star of T_{rest^-1} . T_{lk} ... T_{l1}."""
+        h = HeckeElt((1, self.n), {rest.inv(): ONE})
+        for i, inverse in reversed(letters):
+            h = h.mul_gen(i, inverse)
+        return h.star().terms
 
     # -- sand: E^f T_v E_1 ---------------------------------------------------------
 
@@ -465,13 +458,10 @@ class Engine:
             if not (1 <= i <= n - 1):
                 raise AlgebraError(f"generator T_{i} out of range for n={n}")
             out: Dict[NormalWord, Coeff] = {}
-            us = u * s(i)
-            pieces = [(us, ONE)]
-            if us.length() < u.length():
-                pieces.append((u, A))
-            for u2, c in pieces:
+            pieces = HeckeElt((1, n), {u: ONE}).mul_gen(i)
+            for u2, c in pieces.terms.items():
                 for (omega, dd), c2 in self.reduce(f, u2).items():
-                    _dadd(out, NormalWord(f, d1, omega, dd), c * c2)
+                    add_term(out, NormalWord(f, d1, omega, dd), c * c2)
             r = AlgebraElt(n)
             r.terms = out
             return r
@@ -543,14 +533,6 @@ class Engine:
                 a.scale(c), self.word_letters(word)
             )
         return out
-
-
-def _dadd(d, k, c):
-    v = d.get(k, ZERO) + c
-    if v:
-        d[k] = v
-    else:
-        d.pop(k, None)
 
 
 def _dscale(d, c):
@@ -743,7 +725,10 @@ def all_normal_words(n: int) -> List[NormalWord]:
 # multiplication table with disk cache
 # ---------------------------------------------------------------------------
 
-_CACHE_VERSION = 1
+_CACHE_VERSION = 2
+
+# the modules whose code decides the entries of a table
+_RULE_SOURCES = ("algebra.py", "coefficients.py", "combinatorics.py", "hecke.py")
 
 
 def cache_dir() -> str:
@@ -753,47 +738,39 @@ def cache_dir() -> str:
     )
 
 
-def _word_key(w: NormalWord) -> str:
-    return json.dumps(
-        {
-            "f": w.f,
-            "d1": list(w.d1.word()),
-            "w": list(w.w.word()),
-            "d2": list(w.d2.word()),
-        },
-        separators=(",", ":"),
-    )
+@lru_cache(maxsize=None)
+def rules_digest() -> int:
+    """CRC-32 of the sources of the rewriting rules: a table file written
+    under other rules is stale."""
+    here = os.path.dirname(os.path.abspath(__file__))
+    crc = 0
+    for name in _RULE_SOURCES:
+        with open(os.path.join(here, name), "rb") as fh:
+            crc = zlib.crc32(fh.read(), crc)
+    return crc
 
 
-def _word_from_key(key: str) -> NormalWord:
-    d = json.loads(key)
-    return NormalWord(
-        d["f"],
-        perm_from_word(d["d1"]),
-        perm_from_word(d["w"]),
-        perm_from_word(d["d2"]),
-    )
-
-
-def _gen_key(g) -> str:
-    return g[0] if g == E1 else f"{g[0]}{g[1]}"
-
-
-def _gen_from_key(k: str):
-    if k == "E":
-        return E1
-    if k.startswith("Tinv"):
-        return Tinv(int(k[4:]))
-    return T(int(k[1:]))
+def _rows_crc(rows) -> int:
+    return zlib.crc32(json.dumps(rows, separators=(",", ":")).encode())
 
 
 class MulTable:
-    """Right action of each generator symbol on every normal word, for a
-    fixed rank; built once, then immutable (its entries may be the engine's
-    memo values)."""
+    """Right action of each generator symbol on every normal word of a fixed
+    rank: the regular representation on which verify-relations checks the
+    defining relations.  Built once from the engine, then immutable (its
+    entries may be the engine's memo values).
 
-    def __init__(self, n: int, action: Dict[Tuple[NormalWord, Tuple], AlgebraElt]):
+    On disk (multable-v2-n<n>.json) a table is a header and one row per
+    pair (word, generator), in the order of all_normal_words(n) x gens(n);
+    a row lists its terms as [word index, coefficient string].  The header
+    holds the format version, n, the digest of the rule sources and a
+    CRC-32 of the rows.  A stale file (other version, rank or rules) or one
+    whose rows fail their checksum is rebuilt and overwritten; a file that
+    cannot be read or has the wrong shape raises AlgebraError."""
+
+    def __init__(self, n: int, words: List[NormalWord], action: Dict):
         self.n = n
+        self.words = words
         self.action = action
 
     @staticmethod
@@ -808,57 +785,96 @@ class MulTable:
     def build(cls, n: int) -> "MulTable":
         """The engine's own memo entries, shared rather than copied."""
         eng = get_engine(n)
-        action = {}
-        for w in all_normal_words(n):
-            for g in cls.gens(n):
-                action[(w, g)] = eng._rmul_word(w, g)
-        return cls(n, action)
+        words = all_normal_words(n)
+        action = {
+            (w, g): eng._rmul_word(w, g) for w in words for g in cls.gens(n)
+        }
+        return cls(n, words, action)
 
     @classmethod
     def load_or_build(cls, n: int, directory: str = None) -> "MulTable":
         directory = directory or cache_dir()
         path = os.path.join(directory, f"multable-v{_CACHE_VERSION}-n{n}.json")
-        if os.path.exists(path):
-            try:
-                with open(path) as fh:
-                    data = json.load(fh)
-                if data.get("version") == _CACHE_VERSION and data.get("n") == n:
-                    action = {}
-                    for wkey, per_gen in data["action"].items():
-                        w = _word_from_key(wkey)
-                        for gkey, terms in per_gen.items():
-                            elt = AlgebraElt(
-                                n,
-                                {
-                                    _word_from_key(tk): parse_coeff(tc)
-                                    for tk, tc in terms
-                                },
-                            )
-                            action[(w, _gen_from_key(gkey))] = elt
-                    return cls(n, action)
-            except (OSError, ValueError, KeyError) as exc:
-                raise AlgebraError(
-                    f"corrupt multiplication-table cache at {path}: {exc}"
-                )
-        table = cls.build(n)
-        table.save(path)
+        table = cls._load(n, path) if os.path.exists(path) else None
+        if table is None:
+            table = cls.build(n)
+            table.save(path)
         return table
 
+    @classmethod
+    def _load(cls, n: int, path: str):
+        """The table stored at path, or None if the file is stale or its
+        rows fail their checksum."""
+        try:
+            with open(path) as fh:
+                data = json.load(fh)
+            header = (data["version"], data["n"], data["rules"])
+            if header != (_CACHE_VERSION, n, rules_digest()):
+                return None
+            rows = data["rows"]
+            if data["rows_crc"] != _rows_crc(rows):
+                return None
+            words = all_normal_words(n)
+            keys = [(w, g) for w in words for g in cls.gens(n)]
+            if len(rows) != len(keys):
+                raise ValueError(f"{len(rows)} rows, not {len(keys)}")
+            coeffs: Dict[str, Coeff] = {}
+            action = {}
+            for key, row in zip(keys, rows):
+                terms = {}
+                for i, c in row:
+                    w = words[i]
+                    if i < 0 or w in terms:
+                        raise ValueError(f"bad word index {i}")
+                    if c not in coeffs:
+                        coeffs[c] = parse_coeff(c)
+                    terms[w] = coeffs[c]
+                action[key] = AlgebraElt(n, terms)
+        except (OSError, LookupError, TypeError, ValueError, ArithmeticError) as exc:
+            raise AlgebraError(
+                f"unreadable or malformed multiplication-table cache at "
+                f"{path}: {exc!r}"
+            )
+        return cls(n, words, action)
+
     def save(self, path: str):
-        os.makedirs(os.path.dirname(path), exist_ok=True)
-        data = {"version": _CACHE_VERSION, "n": self.n, "action": {}}
-        for (w, g), elt in self.action.items():
-            per = data["action"].setdefault(_word_key(w), {})
-            per[_gen_key(g)] = [
-                [_word_key(tw), str(tc)] for tw, tc in elt.terms.items()
-            ]
+        index = {w: i for i, w in enumerate(self.words)}
+        rows = [
+            sorted([index[v], str(c)] for v, c in self.action[(w, g)].terms.items())
+            for w in self.words
+            for g in self.gens(self.n)
+        ]
+        data = {
+            "version": _CACHE_VERSION,
+            "n": self.n,
+            "rules": rules_digest(),
+            "rows_crc": _rows_crc(rows),
+            "rows": rows,
+        }
         tmp = path + ".tmp"
-        with open(tmp, "w") as fh:
-            json.dump(data, fh, sort_keys=True)
-        os.replace(tmp, path)
+        try:
+            os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+            with open(tmp, "w") as fh:
+                json.dump(data, fh, separators=(",", ":"))
+            os.replace(tmp, path)
+        except OSError as exc:
+            raise AlgebraError(
+                f"cannot write multiplication-table cache at {path}: {exc}"
+            )
 
     def right_mul_gen(self, x: AlgebraElt, g) -> AlgebraElt:
-        out = AlgebraElt(x.n)
+        out: Dict[NormalWord, Coeff] = {}
         for w, c in x.terms.items():
-            out = out + self.action[(w, g)].scale(c)
-        return out
+            row = self.action[(w, g)].terms
+            if c != ONE:
+                row = {v: c * d for v, d in row.items()}
+            for v, d in row.items():
+                add_term(out, v, d)
+        r = AlgebraElt(x.n)
+        r.terms = out
+        return r
+
+    def apply_letters(self, x: AlgebraElt, letters: Iterable[Tuple]) -> AlgebraElt:
+        for g in letters:
+            x = self.right_mul_gen(x, g)
+        return x

@@ -48,6 +48,7 @@ from .coefficients import (
     ZERO,
     Q,
     Z,
+    add_term,
     specialize,
 )
 from .combinatorics import (
@@ -169,11 +170,7 @@ class _MurphySolver:
             if c:
                 _subtract(work, pcol, c)
                 for k, v in pcombo.items():
-                    val = out.get(k, ZERO) + c * v
-                    if val:
-                        out[k] = val
-                    else:
-                        out.pop(k, None)
+                    add_term(out, k, c * v)
         if work:
             raise CellError("element is not in the span of the Murphy basis")
         return out
@@ -195,12 +192,10 @@ def _gram_from_base(act, base: list, words: List[Tuple[int, ...]]) -> list:
 
 
 def _subtract(target: dict, source: dict, c: Coeff):
+    """target -= c * source, in place."""
+    c = -c
     for k, v in source.items():
-        val = target.get(k, ZERO) - c * v
-        if val:
-            target[k] = val
-        else:
-            target.pop(k, None)
+        add_term(target, k, c * v)
 
 
 @lru_cache(maxsize=None)

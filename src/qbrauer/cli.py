@@ -14,12 +14,11 @@ from .algebra import (
     AlgebraElt,
     AlgebraError,
     MulTable,
+    NormalWord,
     T,
     Tinv,
     all_normal_words,
     elt_from_letters,
-    generator_elt,
-    get_engine,
     mul as algebra_mul,
 )
 from .cells import cell_module, specialized_gram
@@ -33,7 +32,7 @@ from .coefficients import (
     ZINV,
     CoefficientError,
 )
-from .combinatorics import labels
+from .combinatorics import IDENTITY, labels
 from .linalg import mat_det
 from .semisimple import (
     DEFAULT_SEED,
@@ -172,41 +171,38 @@ def _relation_pairs(n):
 @click.option("--max-n", type=int, default=5, show_default=True)
 @click.pass_context
 def verify_relations(ctx, n, max_n):
-    """Check the defining relations in the regular representation."""
+    """Check the defining relations in the regular representation, on the
+    generator-action table (loaded from the cache, or built and cached)."""
     if n < 2 or n > max_n:
         raise click.UsageError(f"--n must be between 2 and {max_n}")
     try:
-        eng = get_engine(n)
-        words = all_normal_words(n)
-        MulTable.load_or_build(n)
+        table = MulTable.load_or_build(n)
     except AlgebraError as exc:
         click.echo(f"environment error: {exc}", err=True)
         ctx.exit(EXIT_ENV)
+    words = table.words
     failures = []
     checked = 0
     for name, left, right in _relation_pairs(n):
         for w in words:
             x = AlgebraElt(n, {w: ONE})
-            if eng.apply_letters(x, left) != eng.apply_letters(x, right):
+            if table.apply_letters(x, left) != table.apply_letters(x, right):
                 failures.append({"relation": name, "word": str(w)})
         checked += 1
-    e1 = generator_elt(E1, n)
+    one = AlgebraElt(n, {NormalWord(0, IDENTITY, IDENTITY, IDENTITY): ONE})
+    e1 = AlgebraElt(n, {NormalWord(1, IDENTITY, IDENTITY, IDENTITY): ONE})
     scalar_checks = [
-        ("E1^2 = delta E1", algebra_mul(e1, e1), e1.scale(DELTA)),
-        ("T1 E1 = q E1", algebra_mul(generator_elt(T(1), n), e1), e1.scale(Q)),
-        ("E1 T1 = q E1", algebra_mul(e1, generator_elt(T(1), n)), e1.scale(Q)),
+        ("E1^2 = delta E1", [E1, E1], DELTA),
+        ("T1 E1 = q E1", [T(1), E1], Q),
+        ("E1 T1 = q E1", [E1, T(1)], Q),
     ]
     if n >= 3:
         scalar_checks += [
-            ("E1 T2 E1 = z E1", elt_from_letters([E1, T(2), E1], n), e1.scale(Z)),
-            (
-                "E1 Tinv2 E1 = z^-1 E1",
-                elt_from_letters([E1, Tinv(2), E1], n),
-                e1.scale(ZINV),
-            ),
+            ("E1 T2 E1 = z E1", [E1, T(2), E1], Z),
+            ("E1 Tinv2 E1 = z^-1 E1", [E1, Tinv(2), E1], ZINV),
         ]
-    for name, got, want in scalar_checks:
-        if got != want:
+    for name, letters, c in scalar_checks:
+        if table.apply_letters(one, letters) != e1.scale(c):
             failures.append({"relation": name, "word": None})
         checked += 1
     payload = {

@@ -580,6 +580,17 @@ def delta() -> Coeff:
     return (Z - ZINV) / A
 
 
+def add_term(out: dict, key, c) -> None:
+    """out[key] += c in a sparse combination {key: coefficient}: a key whose
+    coefficient vanishes is removed, so a zero value is never stored."""
+    v = out.get(key)
+    v = c if v is None else v + c
+    if v:
+        out[key] = v
+    else:
+        out.pop(key, None)
+
+
 DELTA = delta()
 
 

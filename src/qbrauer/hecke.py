@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Dict, Sequence, Tuple
 
-from .coefficients import A, Coeff, ONE, Q, ZERO
+from .coefficients import A, Coeff, ONE, Q, ZERO, add_term
 from .combinatorics import (
     IDENTITY,
     Partition,
@@ -58,11 +58,7 @@ class HeckeElt:
         self._check(other)
         out = dict(self.terms)
         for w, c in other.terms.items():
-            v = out.get(w, ZERO) + c
-            if v:
-                out[w] = v
-            else:
-                out.pop(w, None)
+            add_term(out, w, c)
         r = HeckeElt(self.window)
         r.terms = out
         return r
@@ -107,25 +103,15 @@ class HeckeElt:
         if not (lo <= i < hi):
             raise HeckeError(f"generator {i} outside window {self.window}")
         out: Dict[Perm, Coeff] = {}
-
-        def add(w, c):
-            v = out.get(w, ZERO) + c
-            if v:
-                out[w] = v
-            else:
-                out.pop(w, None)
-
         si = s(i)
         for w, c in self.terms.items():
             ws = w * si
+            add_term(out, ws, c)
             if ws.length() > w.length():
-                add(ws, c)
                 if inverse:
-                    add(w, -A * c)
-            else:
-                add(ws, c)
-                if not inverse:
-                    add(w, A * c)
+                    add_term(out, w, -A * c)
+            elif not inverse:
+                add_term(out, w, A * c)
         r = HeckeElt(self.window)
         r.terms = out
         return r

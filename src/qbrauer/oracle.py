@@ -19,7 +19,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Dict, FrozenSet, List, Sequence, Tuple
 
-from .coefficients import A, Coeff, DELTA, ONE, Q, Z
+from .coefficients import A, Coeff, DELTA, ONE, Q, Z, add_term
 from .combinatorics import Perm
 
 Word = Tuple[str, ...]  # letters like "T1", "T2", "E"
@@ -28,15 +28,6 @@ Vector = Dict[Word, Coeff]
 
 class OracleError(ValueError):
     pass
-
-
-def _vadd(out: Vector, w: Word, c: Coeff) -> None:
-    v = out.get(w)
-    v = c if v is None else v + c
-    if v:
-        out[w] = v
-    else:
-        out.pop(w, None)
 
 
 class FreeQuotientOracle:
@@ -89,11 +80,11 @@ class FreeQuotientOracle:
             word, c = pending.popitem()
             hit = self._step(word)
             if hit is None:
-                _vadd(done, word, c)
+                add_term(done, word, c)
                 continue
             start, size, rhs = hit
             for body, rc in rhs:
-                _vadd(pending, word[:start] + body + word[start + size :], c * rc)
+                add_term(pending, word[:start] + body + word[start + size :], c * rc)
         return done
 
     def _saturate(self) -> Tuple[Word, ...]:
@@ -130,7 +121,7 @@ class FreeQuotientOracle:
         for wa, ca in a.items():
             for wb, cb in b.items():
                 for w, c in self.nf(wa + wb).items():
-                    _vadd(out, w, ca * cb * c)
+                    add_term(out, w, ca * cb * c)
         return out
 
 

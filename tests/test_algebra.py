@@ -263,7 +263,7 @@ def test_hecke_subalgebra_agreement(n):
 def test_multable_cache_roundtrip(tmp_path):
     n = 3
     table = MulTable.load_or_build(n, str(tmp_path))
-    path = tmp_path / "multable-v1-n3.json"
+    path = tmp_path / "multable-v2-n3.json"
     assert path.exists()
     first = path.read_bytes()
     reloaded = MulTable.load_or_build(n, str(tmp_path))
@@ -306,7 +306,117 @@ def test_multable_shares_engine_memo_without_aliasing(monkeypatch):
 def test_multable_corrupt_cache_raises(tmp_path):
     from qbrauer.algebra import AlgebraError
 
-    path = tmp_path / "multable-v1-n2.json"
+    path = tmp_path / "multable-v2-n2.json"
     path.write_text("{ not json")
     with pytest.raises(AlgebraError):
         MulTable.load_or_build(2, str(tmp_path))
+
+
+def _stored_table(tmp_path, n):
+    """The cache file of a freshly built rank-n table and its JSON data."""
+    MulTable.load_or_build(n, str(tmp_path))
+    (path,) = tmp_path.glob(f"multable-*-n{n}.json")
+    return path, json.loads(path.read_text())
+
+
+def _t1_on_identity(n):
+    """Row number of (identity, T_1) and the index of the identity word."""
+    words, gens = all_normal_words(n), MulTable.gens(n)
+    ident = words.index(NormalWord(0, IDENTITY, IDENTITY, IDENTITY))
+    return ident * len(gens) + gens.index(T(1)), ident
+
+
+def _rows_crc(rows):
+    import zlib
+
+    return zlib.crc32(json.dumps(rows, separators=(",", ":")).encode())
+
+
+def test_multable_file_format(tmp_path):
+    from qbrauer.algebra import rules_digest
+
+    n = 3
+    path, data = _stored_table(tmp_path, n)
+    assert (data["version"], data["n"], data["rules"]) == (2, n, rules_digest())
+    assert data["rows_crc"] == _rows_crc(data["rows"])
+    words, gens = all_normal_words(n), MulTable.gens(n)
+    assert len(data["rows"]) == len(words) * len(gens)
+    row, ident = _t1_on_identity(n)
+    t1 = NormalWord(0, IDENTITY, perm_from_word([1]), IDENTITY)
+    assert data["rows"][row] == [[words.index(t1), "1"]]
+
+
+def test_multable_tampered_row_is_rebuilt(tmp_path):
+    n = 3
+    path, data = _stored_table(tmp_path, n)
+    row, ident = _t1_on_identity(n)
+    data["rows"][row] = [[ident, "7"]]
+    path.write_text(json.dumps(data))
+    table = MulTable.load_or_build(n, str(tmp_path))
+    one = AlgebraElt(n, {NormalWord(0, IDENTITY, IDENTITY, IDENTITY): ONE})
+    assert table.right_mul_gen(one, T(1)) == generator_elt(T(1), n)
+    rewritten = json.loads(path.read_text())
+    assert rewritten["rows"][row] != [[ident, "7"]]
+    assert rewritten["rows_crc"] == _rows_crc(rewritten["rows"])
+
+
+def test_multable_foreign_rules_are_rebuilt(tmp_path):
+    from qbrauer.algebra import rules_digest
+
+    n = 3
+    path, data = _stored_table(tmp_path, n)
+    row, ident = _t1_on_identity(n)
+    # rows with a valid checksum, written under other rules
+    data["rows"][row] = [[ident, "7"]]
+    data["rows_crc"] = _rows_crc(data["rows"])
+    data["rules"] = rules_digest() ^ 1
+    path.write_text(json.dumps(data))
+    table = MulTable.load_or_build(n, str(tmp_path))
+    one = AlgebraElt(n, {NormalWord(0, IDENTITY, IDENTITY, IDENTITY): ONE})
+    assert table.right_mul_gen(one, T(1)) == generator_elt(T(1), n)
+    assert json.loads(path.read_text())["rules"] == rules_digest()
+
+
+@pytest.mark.parametrize("content", ["[]", "7", None])
+def test_multable_unreadable_file_raises(tmp_path, content):
+    from qbrauer.algebra import AlgebraError
+
+    path = tmp_path / "multable-v2-n2.json"
+    if content is None:
+        path.mkdir()
+    else:
+        path.write_text(content)
+    with pytest.raises(AlgebraError):
+        MulTable.load_or_build(2, str(tmp_path))
+
+
+def test_multable_rows_of_the_wrong_shape_raise(tmp_path):
+    from qbrauer.algebra import AlgebraError
+
+    n = 2
+    path, data = _stored_table(tmp_path, n)
+    row, ident = _t1_on_identity(n)
+
+    def with_row(bad):
+        rows = list(data["rows"])
+        rows[row] = bad
+        return rows
+
+    for rows in (
+        [],
+        with_row([[ident, "1"], [ident, "1"]]),
+        with_row([[-1, "1"]]),
+        with_row([[ident, "q^"]]),
+    ):
+        path.write_text(json.dumps(dict(data, rows=rows, rows_crc=_rows_crc(rows))))
+        with pytest.raises(AlgebraError):
+            MulTable.load_or_build(n, str(tmp_path))
+
+
+def test_multable_unwritable_directory_raises(tmp_path):
+    from qbrauer.algebra import AlgebraError
+
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    with pytest.raises(AlgebraError):
+        MulTable.load_or_build(2, str(blocker / "sub"))

@@ -189,6 +189,60 @@ def test_corrupt_cache_is_environment_error(tmp_path):
     assert res.exit_code == 3
 
 
+def _assert_environment_error(res):
+    assert res.exit_code == 3, res.output
+    assert "environment error" in res.stderr
+
+
+def test_cache_dir_under_a_file_is_environment_error(tmp_path):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    res = run("--cache-dir", str(blocker / "sub"), "verify-relations", "--n", "2")
+    _assert_environment_error(res)
+
+
+def _tables(directory):
+    return [p for p in directory.iterdir() if p.name.startswith("multable")]
+
+
+def test_cache_holding_a_json_list_is_environment_error(tmp_path):
+    run("--cache-dir", str(tmp_path), "verify-relations", "--n", "2")
+    for p in _tables(tmp_path):
+        p.write_text("[]")
+    res = run("--cache-dir", str(tmp_path), "verify-relations", "--n", "2")
+    _assert_environment_error(res)
+
+
+def test_cache_with_rows_of_the_wrong_shape_is_environment_error(tmp_path):
+    import zlib
+
+    run("--cache-dir", str(tmp_path), "verify-relations", "--n", "2")
+    (path,) = _tables(tmp_path)
+    data = json.loads(path.read_text())
+    # a checksum that matches, over rows that do not fit the rank
+    data["rows"] = [[["x", "1"]]]
+    data["rows_crc"] = zlib.crc32(b'[[["x","1"]]]')
+    path.write_text(json.dumps(data))
+    res = run("--cache-dir", str(tmp_path), "verify-relations", "--n", "2")
+    _assert_environment_error(res)
+
+
+def test_warm_verify_relations_reads_its_table(tmp_path, monkeypatch):
+    from qbrauer import algebra
+
+    cold = run("--cache-dir", str(tmp_path), "verify-relations", "--n", "3")
+    assert cold.exit_code == 0, cold.output
+
+    def replay(self, x, g):
+        raise AssertionError("the warm pass multiplied through the engine")
+
+    monkeypatch.setattr(algebra, "_engines", {})
+    monkeypatch.setattr(algebra.Engine, "_rmul_word_impl", replay)
+    warm = run("--cache-dir", str(tmp_path), "verify-relations", "--n", "3")
+    assert warm.exit_code == 0, warm.output
+    assert warm.stdout == cold.stdout
+
+
 @pytest.mark.parametrize(
     "args",
     [

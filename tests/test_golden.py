@@ -1,9 +1,13 @@
 """CLI reports byte for byte: the benchmark's rank-4 reports against those
 frozen from the seed program in perfbench/expected/, and the reports in
 tests/golden/: three rank-5 reports frozen before the cell modules
-multiplied through their generator matrices, and four Gram and
+multiplied through their generator matrices, four Gram and
 semisimplicity reports frozen while Gram matrices were still paired by
-algebra products."""
+algebra products, and four reports (verify-relations and basis-count at
+rank 5, a product, semisimple at an integer exponent) frozen while
+verify-relations still replayed the relations through the rewriting
+engine.  Each job runs twice on one cache directory, so the cold and the
+warm pass are both checked byte for byte."""
 
 import os
 
@@ -36,6 +40,10 @@ GOLDEN_JOBS = {
         "gram", "--n", "5", "--f", "2", "--lambda", "[1]", "--z-exp", "1"
     ],
     "semisimple-n5-numeric": ["semisimple", "--n", "5", "--numeric", "10007,3,9"],
+    "verify-relations-n5": ["verify-relations", "--n", "5"],
+    "basis-count-n5": ["basis-count", "--n", "5"],
+    "mul-n3-e1t2-e1": ["mul", "--n", "3", "E1 T2", "E1"],
+    "semisimple-n4-z2": ["semisimple", "--n", "4", "--z-exp", "2"],
 }
 
 
@@ -43,9 +51,10 @@ def check_report(path, argv, cache_dir, monkeypatch):
     monkeypatch.setenv("QBRAUER_CACHE_DIR", str(cache_dir))
     with open(path, newline="") as fh:
         expected = fh.read()
-    res = CliRunner().invoke(main, argv)
-    assert res.exit_code == 0, res.output
-    assert res.stdout == expected
+    for cache_pass in ("cold", "warm"):
+        res = CliRunner().invoke(main, argv)
+        assert res.exit_code == 0, (cache_pass, res.output)
+        assert res.stdout == expected, cache_pass
 
 
 @pytest.mark.parametrize("name", sorted(JOBS))
