@@ -17,17 +17,17 @@ S_n (the quadratic rule) are expanded by hecke.HeckeElt.mul_gen, also on
 the left, through the anti-automorphism star.
 
 The engine memoizes reduce, sand and the right action of each generator on
-each normal word.  Memo values are shared between callers (MulTable stores
-the action entries themselves) and are never mutated: every operation on an
-AlgebraElt builds a new element.  Products of whole elements replay the
-generator letters of the right factor's normal words (mul); a cell module
-applies those same letters as its cached generator matrices instead
-(cells.CellModule.act_elt).
+each normal word.  Memo values are shared between callers and are never
+mutated: every operation on an AlgebraElt builds a new element.  Products
+of whole elements replay the generator letters of the right factor's normal
+words (mul); a cell module applies those same letters as its cached
+generator matrices instead (cells.CellModule.act_elt).
 
 MulTable is the regular representation: the action of every generator on
-every normal word, cached on disk in a checksummed file keyed by the
-digest of the rule sources.  verify-relations checks the defining
-relations on it and does not run the engine when the cache is warm.
+every normal word, as sparse rows of word indices and coefficients, cached
+on disk in a checksummed file keyed by the digest of the rule sources.
+verify-relations checks the defining relations on it, on vectors indexed by
+word, and does not run the engine when the cache is warm.
 
 Defining relations (the braid and quadratic relations of the T_i together
 with):
@@ -135,9 +135,7 @@ class AlgebraElt:
 
     def scale(self, c: Coeff) -> "AlgebraElt":
         r = AlgebraElt(self.n)
-        if c == ONE:
-            r.terms = dict(self.terms)
-        elif c:
+        if c:
             r.terms = {w: c * v for w, v in self.terms.items()}
         return r
 
@@ -750,15 +748,14 @@ def rules_digest() -> int:
     return crc
 
 
-def _rows_crc(rows) -> int:
-    return zlib.crc32(json.dumps(rows, separators=(",", ":")).encode())
-
-
 class MulTable:
     """Right action of each generator symbol on every normal word of a fixed
     rank: the regular representation on which verify-relations checks the
-    defining relations.  Built once from the engine, then immutable (its
-    entries may be the engine's memo values).
+    defining relations.  Words are numbered in the order of
+    all_normal_words(n); rows[g][i] lists the image of word i under g as
+    pairs (word index, coefficient) in increasing word index.  Built once
+    from the engine's memo, then immutable; right_mul_gen acts on vectors
+    {word index: coefficient}.
 
     On disk (multable-v2-n<n>.json) a table is a header and one row per
     pair (word, generator), in the order of all_normal_words(n) x gens(n);
@@ -768,10 +765,10 @@ class MulTable:
     whose rows fail their checksum is rebuilt and overwritten; a file that
     cannot be read or has the wrong shape raises AlgebraError."""
 
-    def __init__(self, n: int, words: List[NormalWord], action: Dict):
+    def __init__(self, n: int, words: List[NormalWord], rows: Dict):
         self.n = n
         self.words = words
-        self.action = action
+        self.rows = rows
 
     @staticmethod
     def gens(n: int) -> List[Tuple]:
@@ -783,13 +780,18 @@ class MulTable:
 
     @classmethod
     def build(cls, n: int) -> "MulTable":
-        """The engine's own memo entries, shared rather than copied."""
+        """The engine's memo entries, renumbered by word index."""
         eng = get_engine(n)
         words = all_normal_words(n)
-        action = {
-            (w, g): eng._rmul_word(w, g) for w in words for g in cls.gens(n)
+        index = {w: i for i, w in enumerate(words)}
+        rows = {
+            g: [
+                sorted((index[v], c) for v, c in eng._rmul_word(w, g).terms.items())
+                for w in words
+            ]
+            for g in cls.gens(n)
         }
-        return cls(n, words, action)
+        return cls(n, words, rows)
 
     @classmethod
     def load_or_build(cls, n: int, directory: str = None) -> "MulTable":
@@ -811,70 +813,63 @@ class MulTable:
             header = (data["version"], data["n"], data["rules"])
             if header != (_CACHE_VERSION, n, rules_digest()):
                 return None
-            rows = data["rows"]
-            if data["rows_crc"] != _rows_crc(rows):
+            stored = data["rows"]
+            text = json.dumps(stored, separators=(",", ":"))
+            if data["rows_crc"] != zlib.crc32(text.encode()):
                 return None
-            words = all_normal_words(n)
-            keys = [(w, g) for w in words for g in cls.gens(n)]
-            if len(rows) != len(keys):
-                raise ValueError(f"{len(rows)} rows, not {len(keys)}")
-            coeffs: Dict[str, Coeff] = {}
-            action = {}
-            for key, row in zip(keys, rows):
+            words, gens = all_normal_words(n), cls.gens(n)
+            if len(stored) != len(words) * len(gens):
+                raise ValueError(f"{len(stored)} rows, not {len(words) * len(gens)}")
+            rows = {g: [] for g in gens}
+            by_position = [rows[g] for g in gens] * len(words)
+            parse = lru_cache(maxsize=None)(parse_coeff)  # once per distinct string
+            for out, row in zip(by_position, stored):
                 terms = {}
                 for i, c in row:
-                    w = words[i]
-                    if i < 0 or w in terms:
-                        raise ValueError(f"bad word index {i}")
-                    if c not in coeffs:
-                        coeffs[c] = parse_coeff(c)
-                    terms[w] = coeffs[c]
-                action[key] = AlgebraElt(n, terms)
+                    if type(i) is not int or not 0 <= i < len(words) or i in terms:
+                        raise ValueError(f"bad word index {i!r}")
+                    terms[i] = parse(c)
+                out.append(list(terms.items()))
         except (OSError, LookupError, TypeError, ValueError, ArithmeticError) as exc:
             raise AlgebraError(
                 f"unreadable or malformed multiplication-table cache at "
                 f"{path}: {exc!r}"
             )
-        return cls(n, words, action)
+        return cls(n, words, rows)
 
     def save(self, path: str):
-        index = {w: i for i, w in enumerate(self.words)}
-        rows = [
-            sorted([index[v], str(c)] for v, c in self.action[(w, g)].terms.items())
-            for w in self.words
-            for g in self.gens(self.n)
-        ]
-        data = {
-            "version": _CACHE_VERSION,
-            "n": self.n,
-            "rules": rules_digest(),
-            "rows_crc": _rows_crc(rows),
-            "rows": rows,
-        }
+        quoted = lru_cache(maxsize=None)(lambda c: json.dumps(str(c)))
+        gens = self.gens(self.n)
+        rows_text = "[%s]" % ",".join(
+            "[%s]" % ",".join(f"[{i},{quoted(c)}]" for i, c in self.rows[g][k])
+            for k in range(len(self.words))
+            for g in gens
+        )
+        text = (
+            f'{{"version":{_CACHE_VERSION},"n":{self.n},"rules":{rules_digest()},'
+            f'"rows_crc":{zlib.crc32(rows_text.encode())},"rows":{rows_text}}}'
+        )
         tmp = path + ".tmp"
         try:
             os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
             with open(tmp, "w") as fh:
-                json.dump(data, fh, separators=(",", ":"))
+                fh.write(text)
             os.replace(tmp, path)
         except OSError as exc:
             raise AlgebraError(
                 f"cannot write multiplication-table cache at {path}: {exc}"
             )
 
-    def right_mul_gen(self, x: AlgebraElt, g) -> AlgebraElt:
-        out: Dict[NormalWord, Coeff] = {}
-        for w, c in x.terms.items():
-            row = self.action[(w, g)].terms
-            if c != ONE:
-                row = {v: c * d for v, d in row.items()}
-            for v, d in row.items():
-                add_term(out, v, d)
-        r = AlgebraElt(x.n)
-        r.terms = out
-        return r
+    def right_mul_gen(self, vec: Dict[int, Coeff], g) -> Dict[int, Coeff]:
+        """vec . g for a vector {word index: coefficient}."""
+        rows = self.rows[g]
+        out: Dict[int, Coeff] = {}
+        for i, c in vec.items():
+            for j, d in rows[i]:
+                add_term(out, j, c * d)
+        return out
 
-    def apply_letters(self, x: AlgebraElt, letters: Iterable[Tuple]) -> AlgebraElt:
+    def apply_letters(self, vec: Dict[int, Coeff], letters: Iterable[Tuple]) -> dict:
         for g in letters:
-            x = self.right_mul_gen(x, g)
-        return x
+            vec = self.right_mul_gen(vec, g)
+        return vec

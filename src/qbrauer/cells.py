@@ -181,14 +181,17 @@ def _gram_from_base(act, base: list, words: List[Tuple[int, ...]]) -> list:
     j is e_ref . T_{a_1} ... T_{a_m} with (a_1, ..., a_m) = words[j] and
     sigma(e_ref) = e_ref: column j is act(T(a_m)) ... act(T(a_1)) . base,
     where base is the column of e_ref and act(g) is the matrix of the right
-    action of the generator g (row i is the image of basis vector i)."""
-    columns = []
-    for word in words:
-        col = [[x] for x in base]
-        for a in word:
-            col = mat_mul(act(T(a)), col)
-        columns.append([x for x, in col])
-    return [list(row) for row in zip(*columns)]
+    action of the generator g (row i is the image of basis vector i).  The
+    words share prefixes, so each distinct prefix's column is computed once."""
+    cols = {(): [[x] for x in base]}
+
+    def column(word):
+        col = cols.get(word)
+        if col is None:
+            col = cols[word] = mat_mul(act(T(word[-1])), column(word[:-1]))
+        return col
+
+    return [list(row) for row in zip(*([x for x, in column(w)] for w in words))]
 
 
 def _subtract(target: dict, source: dict, c: Coeff):
@@ -365,11 +368,10 @@ class CellModule:
                     [ONE if i == j else ZERO for j in range(dim)]
                     for i in range(dim)
                 ]
-            unit = c == ONE
             for o, r in zip(out, prod):
                 for j, x in enumerate(r):
                     if x:
-                        o[j] = o[j] + (x if unit else c * x)
+                        o[j] = o[j] + c * x
         return out
 
     # -- Gram matrix ---------------------------------------------------------

@@ -12,10 +12,11 @@ Canonical form of a fraction:
   * integer contents of numerator and denominator are coprime and the
     leading coefficient of the denominator is positive.
 
-The common factor is found by a route chosen from the normalized
-denominator, since almost every value is a Laurent polynomial or has a
-denominator free of z (the only division in the structure constants is by
-q - q^-1):
+Almost every value is a Laurent polynomial (denominator 1), and the sum or
+product of two of them is built canonical, with no normalising; a factor 1
+returns the other factor.  Otherwise the common factor is cancelled by a
+route chosen from the normalized denominator, which is almost always free
+of z (the only division in the structure constants is by q - q^-1):
   * a constant denominator: no polynomial gcd, only integer contents;
   * a denominator in Z[q]: its gcd in Z[q] with each z-row of the numerator;
   * a denominator with z: the primitive-part Euclidean algorithm in Z[q][z].
@@ -50,6 +51,8 @@ class PoleError(CoefficientError):
 # ---------------------------------------------------------------------------
 
 Terms = dict
+
+_UNIT: Terms = {(0, 0): 1}  # the denominator of a Laurent polynomial; never mutated
 
 
 def _padd(a: Terms, b: Terms) -> Terms:
@@ -291,7 +294,7 @@ def _canonical(num: Terms, den: Terms):
     if not den:
         raise DivisionByZero("zero denominator")
     if not num:
-        return {}, {(0, 0): 1}
+        return {}, _UNIT
     # strip the denominator to a polynomial with nonzero constant term,
     # moving the monomial into the numerator
     mi, mj = _pmin_exps(den)
@@ -368,9 +371,7 @@ class Coeff:
 
     __slots__ = ("num", "den", "_hash")
 
-    def __init__(self, num: Terms, den: Terms = None, _canon=False):
-        if den is None:
-            den = {(0, 0): 1}
+    def __init__(self, num: Terms, den: Terms = _UNIT, _canon=False):
         if _canon:
             self.num, self.den = num, den
         else:
@@ -429,7 +430,8 @@ class Coeff:
         if not self.num:
             return other
         if self.den == other.den:
-            return Coeff(_padd(self.num, other.num), self.den)
+            # a sum of Laurent polynomials is already canonical
+            return Coeff(_padd(self.num, other.num), self.den, _canon=self.den == _UNIT)
         return Coeff(
             _padd(_pmul(self.num, other.den), _pmul(other.num, self.den)),
             _pmul(self.den, other.den),
@@ -453,13 +455,14 @@ class Coeff:
             other = Coeff.from_int(other)
         if not self.num or not other.num:
             return ZERO
-        if len(self.den) == 1 and len(other.den) == 1:
-            # a monomial denominator normalizes to a constant, which takes
-            # the route with no polynomial gcd
-            (i1, j1), c1 = next(iter(self.den.items()))
-            (i2, j2), c2 = next(iter(other.den.items()))
-            num = _pmul(self.num, other.num)
-            return Coeff(num, {(i1 + i2, j1 + j2): c1 * c2})
+        laurent, other_laurent = self.den == _UNIT, other.den == _UNIT
+        if other_laurent and other.num == _UNIT:
+            return self
+        if laurent and self.num == _UNIT:
+            return other
+        if laurent and other_laurent:
+            # a product of Laurent polynomials is already canonical
+            return Coeff(_pmul(self.num, other.num), _UNIT, _canon=True)
         return Coeff(_pmul(self.num, other.num), _pmul(self.den, other.den))
 
     __rmul__ = __mul__
@@ -494,7 +497,7 @@ class Coeff:
     # -- text form -----------------------------------------------------------
 
     def __str__(self):
-        if self.den == {(0, 0): 1}:
+        if self.den == _UNIT:
             return poly_str(self.num)
         return f"{poly_str(self.num)}/{poly_str(self.den)}"
 

@@ -260,6 +260,12 @@ def test_hecke_subalgebra_agreement(n):
         assert got == hprod.terms
 
 
+def _indexed(elt, words):
+    """An AlgebraElt as a vector {word index: coefficient}."""
+    index = {w: i for i, w in enumerate(words)}
+    return {index[w]: c for w, c in elt.terms.items()}
+
+
 def test_multable_cache_roundtrip(tmp_path):
     n = 3
     table = MulTable.load_or_build(n, str(tmp_path))
@@ -267,16 +273,17 @@ def test_multable_cache_roundtrip(tmp_path):
     assert path.exists()
     first = path.read_bytes()
     reloaded = MulTable.load_or_build(n, str(tmp_path))
-    assert reloaded.action.keys() == table.action.keys()
-    for k in table.action:
-        assert reloaded.action[k] == table.action[k]
+    assert reloaded.words == table.words
+    assert reloaded.rows == table.rows
     # byte-identical on rewrite
     table.save(str(path))
     assert path.read_bytes() == first
     # the cached action matches the engine
     eng = get_engine(n)
-    for (w, g), elt in table.action.items():
-        assert elt == eng.right_mul_gen(AlgebraElt(n, {w: ONE}), g)
+    for g, rows in table.rows.items():
+        for w, row in zip(table.words, rows):
+            image = eng.right_mul_gen(AlgebraElt(n, {w: ONE}), g)
+            assert dict(row) == _indexed(image, table.words)
 
 
 def test_multable_shares_engine_memo_without_aliasing(monkeypatch):
@@ -288,19 +295,21 @@ def test_multable_shares_engine_memo_without_aliasing(monkeypatch):
     monkeypatch.setattr(algebra, "_engines", {})
     table = MulTable.build(n)
     eng = get_engine(n)
+    words = all_normal_words(n)
+    assert table.words == words
     # a second fresh engine, visiting the words in reverse order
     other = Engine(n)
-    for w in reversed(all_normal_words(n)):
+    for i in reversed(range(len(words))):
         for g in MulTable.gens(n):
-            assert table.action[(w, g)] == other.right_mul_gen(
-                AlgebraElt(n, {w: ONE}), g
-            ), (w, g)
-    assert all(table.action[k] is eng._rmul_memo[k] for k in table.action)
+            image = other.right_mul_gen(AlgebraElt(n, {words[i]: ONE}), g)
+            assert table.rows[g][i] == sorted(_indexed(image, words).items()), (i, g)
     before = {k: dict(v.terms) for k, v in eng._rmul_memo.items()}
+    rows = {g: [list(row) for row in r] for g, r in table.rows.items()}
     CellModule(n, 1, (2,)).gram()
     mul(jm(n, n), tilde_e1(n))
     for k, terms in before.items():
         assert eng._rmul_memo[k].terms == terms, k
+    assert table.rows == rows
 
 
 def test_multable_corrupt_cache_raises(tmp_path):
@@ -353,8 +362,8 @@ def test_multable_tampered_row_is_rebuilt(tmp_path):
     data["rows"][row] = [[ident, "7"]]
     path.write_text(json.dumps(data))
     table = MulTable.load_or_build(n, str(tmp_path))
-    one = AlgebraElt(n, {NormalWord(0, IDENTITY, IDENTITY, IDENTITY): ONE})
-    assert table.right_mul_gen(one, T(1)) == generator_elt(T(1), n)
+    t1 = _indexed(generator_elt(T(1), n), table.words)
+    assert table.right_mul_gen({ident: ONE}, T(1)) == t1
     rewritten = json.loads(path.read_text())
     assert rewritten["rows"][row] != [[ident, "7"]]
     assert rewritten["rows_crc"] == _rows_crc(rewritten["rows"])
@@ -372,8 +381,8 @@ def test_multable_foreign_rules_are_rebuilt(tmp_path):
     data["rules"] = rules_digest() ^ 1
     path.write_text(json.dumps(data))
     table = MulTable.load_or_build(n, str(tmp_path))
-    one = AlgebraElt(n, {NormalWord(0, IDENTITY, IDENTITY, IDENTITY): ONE})
-    assert table.right_mul_gen(one, T(1)) == generator_elt(T(1), n)
+    t1 = _indexed(generator_elt(T(1), n), table.words)
+    assert table.right_mul_gen({ident: ONE}, T(1)) == t1
     assert json.loads(path.read_text())["rules"] == rules_digest()
 
 

@@ -243,6 +243,85 @@ def test_warm_verify_relations_reads_its_table(tmp_path, monkeypatch):
     assert warm.stdout == cold.stdout
 
 
+def _replayed_failures(data, n):
+    """verify-relations' failure list, replayed here over the stored rows."""
+    from qbrauer.algebra import E1, MulTable, NormalWord, T, Tinv, all_normal_words
+    from qbrauer.cli import _relation_pairs
+    from qbrauer.coefficients import DELTA, ONE, Q, Z, ZERO, ZINV, parse_coeff
+    from qbrauer.combinatorics import IDENTITY
+
+    words, gens = all_normal_words(n), MulTable.gens(n)
+    rows = {}
+    for k, row in enumerate(data["rows"]):
+        i, g = divmod(k, len(gens))
+        rows[i, gens[g]] = {j: parse_coeff(c) for j, c in row}
+
+    def apply(vec, letters):
+        for g in letters:
+            out = {}
+            for i, c in vec.items():
+                for j, d in rows[i, g].items():
+                    out[j] = out.get(j, ZERO) + c * d
+            vec = {j: c for j, c in out.items() if c}
+        return vec
+
+    failures = []
+    for name, left, right in _relation_pairs(n):
+        for i, w in enumerate(words):
+            if apply({i: ONE}, left) != apply({i: ONE}, right):
+                failures.append({"relation": name, "word": str(w)})
+    one = words.index(NormalWord(0, IDENTITY, IDENTITY, IDENTITY))
+    e1 = words.index(NormalWord(1, IDENTITY, IDENTITY, IDENTITY))
+    for name, letters, c in [
+        ("E1^2 = delta E1", [E1, E1], DELTA),
+        ("T1 E1 = q E1", [T(1), E1], Q),
+        ("E1 T1 = q E1", [E1, T(1)], Q),
+        ("E1 T2 E1 = z E1", [E1, T(2), E1], Z),
+        ("E1 Tinv2 E1 = z^-1 E1", [E1, Tinv(2), E1], ZINV),
+    ]:
+        if apply({one: ONE}, letters) != {e1: c}:
+            failures.append({"relation": name, "word": None})
+    return failures
+
+
+def test_verify_relations_reports_the_failures_of_a_trusted_table(tmp_path):
+    import zlib
+
+    n = 3
+    run("--cache-dir", str(tmp_path), "verify-relations", "--n", str(n))
+    (path,) = _tables(tmp_path)
+    data = json.loads(path.read_text())
+    # a wrong row under a valid checksum and the current rules: trusted as is
+    data["rows"][0] = [[0, "7"]]
+    text = json.dumps(data["rows"], separators=(",", ":"))
+    data["rows_crc"] = zlib.crc32(text.encode())
+    path.write_text(json.dumps(data))
+    res = run("--cache-dir", str(tmp_path), "verify-relations", "--n", str(n))
+    assert res.exit_code == 1, res.output
+    report = json.loads(res.output)
+    assert report["ok"] is False
+    expected = _replayed_failures(data, n)
+    assert len({f["relation"] for f in expected}) > 1
+    assert len({f["word"] for f in expected}) > 1
+    assert report["failures"] == expected
+    assert json.loads(path.read_text()) == data
+
+
+@pytest.mark.parametrize(
+    "args", [("--from", "5", "--to", "-5"), ("--from", "5"), ("--to", "-9")]
+)
+def test_empty_scan_range_is_usage_error(args):
+    res = run("scan", "--n", "3", *args)
+    assert res.exit_code == 2, res.output
+    assert "empty exponent range" in res.output
+
+
+def test_basis_count_above_rank_eight_is_usage_error():
+    res = run("basis-count", "--n", "9")
+    assert res.exit_code == 2, res.output
+    assert "--n" in res.output
+
+
 @pytest.mark.parametrize(
     "args",
     [

@@ -223,6 +223,35 @@ def test_canonical_routes_agree_with_bivariate_gcd(num, den, common):
     assert (y.num, y.den) == _pgcd_canonical(num, den)
 
 
+# operands of the Laurent fast path: 0, 1, +-monomials and Laurent
+# polynomials, plus fractions with other denominators that must stay off it
+_monomial = st.builds(
+    lambda i, j, c: {(i, j): c},
+    st.integers(-2, 2),
+    st.integers(-2, 2),
+    st.sampled_from([1, -1]),
+)
+_operand = st.one_of(
+    st.just(ZERO),
+    st.just(ONE),
+    st.builds(Coeff, _monomial),
+    st.builds(Coeff, _laurent),
+    st.builds(Coeff, _laurent, _shape),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(x=_operand, y=_operand)
+def test_laurent_fast_path_matches_general_canonical_form(x, y):
+    den = co._pmul(x.den, y.den)
+    product = Coeff(co._pmul(x.num, y.num), den)
+    total = Coeff(co._padd(co._pmul(x.num, y.den), co._pmul(y.num, x.den)), den)
+    pairs = ((x * y, product), (y * x, product), (x + y, total), (y + x, total))
+    for got, want in pairs:
+        assert (got.num, got.den) == (want.num, want.den)
+        assert hash(got) == hash(want) and str(got) == str(want)
+
+
 def test_canonical_sign_and_content():
     # negative constant and negative leading coefficient in q
     assert str(Coeff({(1, 0): 4, (0, 1): -6}, {(0, 0): -10})) == "-2*q^1+3*z^1/5"
