@@ -10,6 +10,18 @@ mutually recursive rewriting primitives:
   * sand(f, v):  normal form of E^f T_v E_1, a combination of layer-f
     (contraction) and layer-(f+1) (merge) terms.
 
+reduce first factors u through the stabilizer coset of the f pair blocks;
+sand first tries its contact cases and the right descents of v.  Both then
+apply the first of four left-descent rules, for a left descent m of u
+(Engine._left_rule, shared by the two):
+
+  (a) m odd, m <= 2f-1: T_m is absorbed, E^f T_u = q E^f T_{s_m u};
+  (b) m >= 2f+1: T_m commutes with E^f and moves to the window factor;
+  (c) m even, m <= 2f-2, and u starts T_m T_{m+1}: the pair-block relation
+      gives the length-preserving rewrite E^f T_m T_{m+1} X = E^f T_m T_{m-1} X;
+  (d) m even, m <= 2f-2, otherwise: graft a pair block,
+      E^f T_m X = E^f T_m T_{m+1} T_{m-1}^{-1} X.
+
 Left multiplication is reduced to right multiplication through the
 anti-involution sigma, which acts on basis words by an exact flip
 (f, d1, w, d2) -> (f, d2, w^{-1}, d1).  Products in the Hecke algebra of
@@ -235,7 +247,7 @@ class Engine:
         self._tick(f, u)
         if f == 0:
             return {(u, IDENTITY): ONE}
-        # (1) factor through the stabilizer coset: u = sigma . d
+        # factor through the stabilizer coset: u = sigma . d
         cfg = frozenset(
             frozenset((u(2 * k - 1), u(2 * k))) for k in range(1, f + 1)
         )
@@ -247,50 +259,49 @@ class Engine:
             omega = sigma
             if u.length() == omega.length() + d.length():
                 return {(omega, d): ONE}
-        # (2) odd small left descent: absorbed with a factor q
+        rule = self._left_rule(f, u)
+        if rule is None:
+            raise StuckWordError(
+                f"no rule applies to E^{f} T_{list(u.word())}", f, u
+            )
+        kind, arg = rule
+        out: Dict[Tuple[Perm, Perm], Coeff] = {}
+        if kind == "window":
+            for (omega, dd), c in self.reduce(f, s(arg) * u).items():
+                for sw, c2 in self._hecke_word_times([(arg, False)], omega).items():
+                    add_term(out, (sw, dd), c * c2)
+            return out
+        for u2, c in arg.items():
+            for kd, c2 in self.reduce(f, u2).items():
+                add_term(out, kd, c * c2)
+        return out
+
+    def _left_rule(self, f, u):
+        """The first of the left-descent rules (a)-(d) of the module
+        docstring that applies to E^f T_u: ("window", m) for rule (b), where
+        T_m commutes out of E^f T_{s_m u} to the window factor, ("expand",
+        {u2: c}) for the others, where E^f T_u = sum c E^f T_{u2}, and None
+        when no rule applies.  The tail E_1 of sand does not change them."""
         lds = u.left_descents()
-        for m in lds:
+        for m in lds:  # (a)
             if m <= 2 * f - 1 and m % 2 == 1:
-                return _dscale(self.reduce(f, s(m) * u), Q)
-        # (3) window left descent: commute T_m out to the window factor
-        for m in lds:
+                return "expand", {s(m) * u: Q}
+        for m in lds:  # (b)
             if m >= 2 * f + 1:
-                inner = self.reduce(f, s(m) * u)
-                out: Dict[Tuple[Perm, Perm], Coeff] = {}
-                for (omega, dd), c in inner.items():
-                    tm = self._hecke_word_times([(m, False)], omega)
-                    for sw, c2 in tm.items():
-                        add_term(out, (sw, dd), c * c2)
-                return out
-        # (4) word starting T_{2j} T_{2j+1}: the pair-block relation gives the
-        # length-preserving rewrite E^f T_{2j} T_{2j+1} X = E^f T_{2j} T_{2j-1} X
-        for m in lds:
+                return "window", m
+        for m in lds:  # (c)
             if m <= 2 * f - 2 and m % 2 == 0:
                 v1 = s(m) * u
                 if m + 1 in v1.left_descents():
-                    rest = s(m + 1) * v1
-                    out = {}
-                    for u2, c in self._hecke_word_times(
-                        [(m, False), (m - 1, False)], rest
-                    ).items():
-                        for kd, c2 in self.reduce(f, u2).items():
-                            add_term(out, kd, c * c2)
-                    return out
-        # (5) last resort: graft a pair block,
-        # E^f T_m X = E^f T_m T_{m+1} T_{m-1}^{-1} X
-        for m in lds:
+                    return "expand", self._hecke_word_times(
+                        [(m, False), (m - 1, False)], s(m + 1) * v1
+                    )
+        for m in lds:  # (d)
             if m <= 2 * f - 2 and m % 2 == 0:
-                rest = s(m) * u
-                out = {}
-                for u2, c in self._hecke_word_times(
-                    [(m, False), (m + 1, False), (m - 1, True)], rest
-                ).items():
-                    for kd, c2 in self.reduce(f, u2).items():
-                        add_term(out, kd, c * c2)
-                return out
-        raise StuckWordError(
-            f"no rule applies to E^{f} T_{list(u.word())}", f, u
-        )
+                return "expand", self._hecke_word_times(
+                    [(m, False), (m + 1, False), (m - 1, True)], s(m) * u
+                )
+        return None
 
     def _hecke_word_times(self, letters, rest: Perm) -> Dict[Perm, Coeff]:
         """Expand T_{l1} ... T_{lk} . T_rest in the Hecke algebra of S_n as a
@@ -350,7 +361,8 @@ class Engine:
                         n, {NormalWord(f, IDENTITY, omega, dd): Z * c}
                     )
                 return out
-        # right descents: k = 1 absorbs into E_1, k >= 3 commutes past E_1
+        # right descents: k = 1 absorbs into E_1, k >= 3 commutes past E_1;
+        # then the left-descent rules
         rds = v.right_descents()
         for k in rds:
             if k == 1:
@@ -358,35 +370,15 @@ class Engine:
             if k >= 3:
                 inner = self.sand(f, v * s(k))
                 return self.right_mul_gen(inner, T(k))
-        # left descents: odd small absorbs, window commutes out, even grafts
-        lds = v.left_descents()
-        for m in lds:
-            if m <= 2 * f - 1 and m % 2 == 1:
-                return self.sand(f, s(m) * v).scale(Q)
-        for m in lds:
-            if m >= 2 * f + 1:
-                inner = self.sand(f, s(m) * v)
-                return self.left_mul_gen(T(m), inner)
-        for m in lds:
-            if m <= 2 * f - 2 and m % 2 == 0:
-                v1 = s(m) * v
-                if m + 1 in v1.left_descents():
-                    rest = s(m + 1) * v1
-                    out = self.zero()
-                    for u2, c in self._hecke_word_times(
-                        [(m, False), (m - 1, False)], rest
-                    ).items():
-                        out = out + self.sand(f, u2).scale(c)
-                    return out
-        for m in lds:
-            if m <= 2 * f - 2 and m % 2 == 0:
-                rest = s(m) * v
-                out = self.zero()
-                for u2, c in self._hecke_word_times(
-                    [(m, False), (m + 1, False), (m - 1, True)], rest
-                ).items():
-                    out = out + self.sand(f, u2).scale(c)
-                return out
+        rule = self._left_rule(f, v)
+        if rule is not None:
+            kind, arg = rule
+            if kind == "window":
+                return self.left_mul_gen(T(arg), self.sand(f, s(arg) * v))
+            out = self.zero()
+            for u2, c in arg.items():
+                out = out + self.sand(f, u2).scale(c)
+            return out
         if f == 0:
             # T_v E_1 = sigma(E_1 T_{v^{-1}}); needs v^{-1} in D_{1,n}
             vi = v.inv()
@@ -533,10 +525,6 @@ class Engine:
         return out
 
 
-def _dscale(d, c):
-    return {k: c * v for k, v in d.items()}
-
-
 def e_power_letters(f: int) -> List[Tuple]:
     """Generator letters of E^f from E^(k+1) = E_1 T_{2,2k+2} T_{2k+1,1}^{-1} E^k."""
     letters: List[Tuple] = []
@@ -606,16 +594,21 @@ def e_power(k: int, n: int) -> AlgebraElt:
     return AlgebraElt(n, {NormalWord(k, IDENTITY, IDENTITY, IDENTITY): ONE})
 
 
-def e_index(l: int, n: int) -> AlgebraElt:
-    """E_l = T_{l,1} T_{2,l+1}^{-1} E_1 T_{2,l+1} T_{l,1}^{-1}."""
-    if not (1 <= l <= n - 1):
-        raise AlgebraError(f"E_{l} out of range for n={n}")
+def e_index_letters(l: int) -> List[Tuple]:
+    """Generator letters of E_l = T_{l,1} T_{2,l+1}^{-1} E_1 T_{2,l+1} T_{l,1}^{-1}."""
     letters: List[Tuple] = [T(i) for i in seg_word(l, 1)]
     letters += [Tinv(i) for i in reversed(seg_word(2, l + 1))]
     letters += [E1]
     letters += [T(i) for i in seg_word(2, l + 1)]
     letters += [Tinv(i) for i in reversed(seg_word(l, 1))]
-    return elt_from_letters(letters, n)
+    return letters
+
+
+def e_index(l: int, n: int) -> AlgebraElt:
+    """E_l as a normal-form element."""
+    if not (1 <= l <= n - 1):
+        raise AlgebraError(f"E_{l} out of range for n={n}")
+    return elt_from_letters(e_index_letters(l), n)
 
 
 def tilde_e1(n: int) -> AlgebraElt:
@@ -688,16 +681,11 @@ def phi_embed(x: AlgebraElt, n: int) -> AlgebraElt:
     eng = get_engine(n)
     base = tilde_e1(n)
     out = eng.zero()
-    e3 = e_index(3, n)
+    e3 = e_index_letters(3)
     for word, c in x.terms.items():
         acc = base.scale(c)
         for g in get_engine(x.n).word_letters(word):
-            if g == E1:
-                acc = eng.mul(acc, e3)
-            elif g[0] == "T":
-                acc = eng.right_mul_gen(acc, T(g[1] + 2))
-            else:
-                acc = eng.right_mul_gen(acc, Tinv(g[1] + 2))
+            acc = eng.apply_letters(acc, e3 if g == E1 else [(g[0], g[1] + 2)])
         out = out + acc
     return out
 

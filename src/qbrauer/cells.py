@@ -5,7 +5,10 @@ n - 2f.  The module C(f, lam) has the coset basis indexed by pairs (t, v)
 with t a standard tableau of shape lam on the letters 2f+1..n and v a
 distinguished representative in D_{f,n}; the basis vector is the class of
 E^f x_lam T_{d(t)} T_v.  The Jucys-Murphy basis {m_t} is indexed by up-down
-tableaux and is built by the add/remove recursion on the path.
+tableaux and is built by the add/remove recursion on the path.  That
+recursion left-multiplies; the lifts are built on sigma(m_t) instead, by
+right products with the reversed letters (sigma is an anti-automorphism
+fixing every generator), and one sigma at the end gives m_t.
 
 Reduction algorithm (vector): after multiplying a lifted basis element by a
 generator, drop all words of deficiency > f, group the remaining words by
@@ -76,7 +79,7 @@ from .algebra import (
     NormalWord,
     T,
     Tinv,
-    e_index,
+    e_index_letters,
     elt_from_letters,
     get_engine,
     jm_terms,
@@ -215,6 +218,17 @@ def murphy_expand(h: HeckeElt) -> Dict[tuple, Coeff]:
 # ---------------------------------------------------------------------------
 
 
+def _lift_x_lambda(n: int, f: int, lam: Partition, window) -> AlgebraElt:
+    """E^f x_lam in the rank-n algebra, x_lam taken on the letters of window."""
+    return AlgebraElt(
+        n,
+        {
+            NormalWord(f, IDENTITY, w, IDENTITY): c
+            for w, c in x_lambda(lam, window).terms.items()
+        },
+    )
+
+
 def _check_label(n: int, f: int, lam: Partition):
     lam = tuple(lam)
     if f < 0 or 2 * f > n:
@@ -269,20 +283,11 @@ class CellModule:
         """Lifts E^f x_lam T_{d(t)} T_v of the coset basis vectors."""
         if self._elements is None:
             eng = get_engine(self.n)
-            base = AlgebraElt(
-                self.n,
-                {
-                    NormalWord(self.f, IDENTITY, w, IDENTITY): c
-                    for w, c in x_lambda(self.lam, self.window).terms.items()
-                },
-            )
-            out = []
-            for word in self._words():
-                x = base
-                for i in word:
-                    x = eng.right_mul_gen(x, T(i))
-                out.append(x)
-            self._elements = out
+            base = _lift_x_lambda(self.n, self.f, self.lam, self.window)
+            self._elements = [
+                eng.apply_letters(base, [T(i) for i in word])
+                for word in self._words()
+            ]
         return self._elements
 
     def element(self, i: int) -> AlgebraElt:
@@ -413,9 +418,11 @@ class CellModule:
     def _m_elt(self, t: UpDownTableau) -> AlgebraElt:
         """m_t by the path recursion: adding a box at row k left-multiplies by
         sum_j q^{a_k - j} T_{j,i}; removing one left-multiplies by
-        E_{2f-1} T_{i,2f}^{-1} T_{b_k,2f-1}^{-1}."""
+        E_{2f-1} T_{i,2f}^{-1} T_{b_k,2f-1}^{-1}.  It runs on sm = sigma(m),
+        which left-multiplying m by g_1 ... g_k right-multiplies by
+        g_k ... g_1."""
         eng = get_engine(self.n)
-        m = one_elt(self.n)
+        sm = one_elt(self.n)
         for i in range(1, self.n + 1):
             kind, node = t.step(i)
             shape = t.shapes[i]
@@ -426,36 +433,17 @@ class CellModule:
                 a_km1 = 2 * fi + sum(shape[: k - 1])
                 acc = eng.zero()
                 for j in range(a_km1 + 1, a_k + 1):
-                    term = self._lmul_letters(
-                        eng, [T(x) for x in seg_word(j, i)], m
-                    )
+                    letters = [T(x) for x in seg_word(j, i)]
+                    term = eng.apply_letters(sm, reversed(letters))
                     acc = acc + term.scale(Q ** (a_k - j))
-                m = acc
+                sm = acc
             else:
                 b_k = 2 * fi - 1 + sum(shape[:k])
-                m = self._lmul_letters(
-                    eng,
-                    [Tinv(x) for x in reversed(seg_word(b_k, 2 * fi - 1))],
-                    m,
-                )
-                m = self._lmul_letters(
-                    eng,
-                    [Tinv(x) for x in reversed(seg_word(i, 2 * fi))],
-                    m,
-                )
-                l = 2 * fi - 1
-                if l == 1:
-                    m = eng.left_mul_gen(E1, m)
-                else:
-                    m = eng.mul(e_index(l, self.n), m)
-        return m
-
-    @staticmethod
-    def _lmul_letters(eng, letters, m: AlgebraElt) -> AlgebraElt:
-        """Left-multiply by the product of the letters (in product order)."""
-        for g in reversed(letters):
-            m = eng.left_mul_gen(g, m)
-        return m
+                letters = e_index_letters(2 * fi - 1)
+                letters += [Tinv(x) for x in reversed(seg_word(i, 2 * fi))]
+                letters += [Tinv(x) for x in reversed(seg_word(b_k, 2 * fi - 1))]
+                sm = eng.apply_letters(sm, reversed(letters))
+        return eng.sigma(sm)
 
     def transition(self) -> list:
         """Row t = coordinates of m_t in the coset basis."""
@@ -659,13 +647,6 @@ def y_element(f: int, lam, mu, n: int) -> AlgebraElt:
     lam = _check_label(n, f, lam)
     mu = tuple(mu)
     eng = get_engine(n)
-    base = AlgebraElt(
-        n,
-        {
-            NormalWord(f, IDENTITY, w, IDENTITY): c
-            for w, c in x_lambda(lam, (2 * f + 1, n)).terms.items()
-        },
-    )
     if sum(mu) == sum(lam) - 1:
         # removal: mu = lam minus a box in row k
         k = next(
@@ -674,10 +655,8 @@ def y_element(f: int, lam, mu, n: int) -> AlgebraElt:
             if (mu[r] if r < len(mu) else 0) != lam[r]
         )
         a_k = 2 * f + sum(lam[:k])
-        x = base
-        for i in seg_word(a_k, n):
-            x = eng.right_mul_gen(x, T(i))
-        return x
+        base = _lift_x_lambda(n, f, lam, (2 * f + 1, n))
+        return eng.apply_letters(base, [T(i) for i in seg_word(a_k, n)])
     if sum(mu) == sum(lam) + 1:
         # addition: mu = lam plus a box in row k
         k = next(
@@ -686,24 +665,13 @@ def y_element(f: int, lam, mu, n: int) -> AlgebraElt:
             if (lam[r] if r < len(lam) else 0) != mu[r]
         )
         b_k = 2 * f - 1 + sum(lam[:k])
-        mu_base = AlgebraElt(
+        head = elt_from_letters(
+            e_index_letters(2 * f - 1)
+            + [Tinv(x) for x in seg_word(n, 2 * f)]
+            + [Tinv(x) for x in seg_word(b_k, 2 * f - 1)],
             n,
-            {
-                NormalWord(f - 1, IDENTITY, w, IDENTITY): c
-                for w, c in x_lambda(mu, (2 * f - 1, n - 1)).terms.items()
-            },
         )
-        head = one_elt(n)
-        l = 2 * f - 1
-        if l == 1:
-            head = eng.left_mul_gen(E1, head)
-        else:
-            head = eng.mul(e_index(l, n), head)
-        for x in seg_word(n, 2 * f):
-            head = eng.right_mul_gen(head, Tinv(x))
-        for x in seg_word(b_k, 2 * f - 1):
-            head = eng.right_mul_gen(head, Tinv(x))
-        return eng.mul(head, mu_base)
+        return eng.mul(head, _lift_x_lambda(n, f - 1, mu, (2 * f - 1, n - 1)))
     raise CellError("mu must differ from lam by exactly one box")
 
 

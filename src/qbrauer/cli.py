@@ -3,7 +3,6 @@ Gram matrices, Jucys-Murphy spectra, branching filtrations, semisimplicity
 scans, products, and basis counts."""
 
 import json
-import os
 from fractions import Fraction
 
 import click
@@ -139,8 +138,7 @@ def main(ctx, cache_dir, output):
     algebra."""
     ctx.ensure_object(dict)
     ctx.obj["output"] = output
-    if cache_dir:
-        os.environ["QBRAUER_CACHE_DIR"] = cache_dir
+    ctx.obj["cache_dir"] = cache_dir
 
 
 def _relation_pairs(n):
@@ -166,16 +164,13 @@ def _relation_pairs(n):
 
 
 @main.command("verify-relations")
-@click.option("--n", "n", type=int, required=True)
-@click.option("--max-n", type=int, default=5, show_default=True)
+@click.option("--n", "n", type=click.IntRange(min=2, max=5), required=True)
 @click.pass_context
-def verify_relations(ctx, n, max_n):
+def verify_relations(ctx, n):
     """Check the defining relations in the regular representation, on the
     generator-action table (loaded from the cache, or built and cached)."""
-    if n < 2 or n > max_n:
-        raise click.UsageError(f"--n must be between 2 and {max_n}")
     try:
-        table = MulTable.load_or_build(n)
+        table = MulTable.load_or_build(n, ctx.obj["cache_dir"])
     except AlgebraError as exc:
         click.echo(f"environment error: {exc}", err=True)
         ctx.exit(EXIT_ENV)
@@ -206,7 +201,7 @@ def verify_relations(ctx, n, max_n):
         checked += 1
     payload = {
         "command": "verify-relations",
-        "config": _config(n, max_n=max_n),
+        "config": _config(n, max_n=5),
         "rank": len(words),
         "expected_rank": rank(n),
         "relations_checked": checked,
@@ -301,7 +296,7 @@ def branching(ctx, n, f, lam):
 @click.pass_context
 def scan_cmd(ctx, n, a_min, a_max, seed):
     """Exponents a for which some Gram determinant vanishes at z = q^a."""
-    lo = a_min if a_min is not None else 4 - 2 * n - 2
+    lo = a_min if a_min is not None else 2 - 2 * n
     hi = a_max if a_max is not None else n
     if lo > hi:
         raise click.UsageError(f"empty exponent range: --from {lo} exceeds --to {hi}")

@@ -157,18 +157,6 @@ def hecke_T(w: Perm, window: Window) -> HeckeElt:
     return HeckeElt(window, {w: ONE})
 
 
-def hecke_mul(a: HeckeElt, b: HeckeElt) -> HeckeElt:
-    return a * b
-
-
-def trace(a: HeckeElt) -> Coeff:
-    return a.trace()
-
-
-def star(a: HeckeElt) -> HeckeElt:
-    return a.star()
-
-
 def x_lambda(lam: Partition, window: Window) -> HeckeElt:
     """x_lam = sum over the row stabilizer of q^(length) T_w, rows starting
     at the left end of the window."""

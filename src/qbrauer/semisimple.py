@@ -97,18 +97,9 @@ def _det_is_zero_sym(n: int, f: int, lam, a: int, seed: int = DEFAULT_SEED) -> b
     return not gram_det_at(n, f, lam, IntegerExponent(a))
 
 
-def scan(
-    n: int,
-    a_min: Optional[int] = None,
-    a_max: Optional[int] = None,
-    seed: int = DEFAULT_SEED,
-) -> Set[int]:
+def scan(n: int, a_min: int, a_max: int, seed: int = DEFAULT_SEED) -> Set[int]:
     """Exponents a in [a_min, a_max] for which some deficiency-one Gram
     determinant of a rank k <= n algebra vanishes identically at z = q^a."""
-    if a_min is None:
-        a_min = 4 - 2 * n - 2
-    if a_max is None:
-        a_max = n
     out: Set[int] = set()
     for a in range(a_min, a_max + 1):
         vanishes = False

@@ -240,7 +240,7 @@ def test_hecke_subalgebra_agreement(n):
     from itertools import permutations
 
     from qbrauer.combinatorics import Perm
-    from qbrauer.hecke import HeckeElt, hecke_mul
+    from qbrauer.hecke import HeckeElt
 
     win = (1, n)
     perms = [Perm(list(p)) for p in permutations(range(1, n + 1))]
@@ -251,7 +251,7 @@ def test_hecke_subalgebra_agreement(n):
     for u, v in sample:
         ha = HeckeElt(win, {u: ONE})
         hb = HeckeElt(win, {v: ONE})
-        hprod = hecke_mul(ha, hb)
+        hprod = ha * hb
         xa = AlgebraElt(n, {NormalWord(0, IDENTITY, u, IDENTITY): ONE})
         xb = AlgebraElt(n, {NormalWord(0, IDENTITY, v, IDENTITY): ONE})
         xprod = mul(xa, xb)

@@ -6,12 +6,16 @@ import pytest
 
 from qbrauer.algebra import (
     E1,
+    AlgebraElt,
     NormalWord,
     T,
     Tinv,
+    e_index,
     generator_elt,
+    get_engine,
     jm,
     mul,
+    one_elt,
     right_mul_gen,
     sigma,
     tilde_e1,
@@ -44,9 +48,11 @@ from qbrauer.coefficients import (
 )
 from qbrauer.combinatorics import (
     IDENTITY,
+    branching_list,
     coset_reps_D,
     labels,
     partitions,
+    seg_word,
     std_tableaux,
     updown_tableaux,
 )
@@ -377,8 +383,6 @@ def test_functor_image_dimensions_rank_five():
 
 
 def test_y_element_nonzero():
-    from qbrauer.combinatorics import branching_list
-
     for n, f, lam in small_labels(3):
         mus, split = branching_list(f, lam, n)
         for mu in mus:
@@ -389,6 +393,92 @@ def test_y_element_nonzero():
 def test_y_element_rejects_distant_shapes():
     with pytest.raises(CellError):
         y_element(1, (1,), (1,), 3)
+
+
+# The path recursion written as left products, one left_mul_gen per letter
+# and E_l as the product e_index(l, n) . m.  The module builds the same
+# elements on sigma(m) by right products.
+
+
+def _lmul_letters(eng, letters, m):
+    for g in reversed(letters):
+        m = eng.left_mul_gen(g, m)
+    return m
+
+
+def _lmul_e_index(eng, l, m):
+    if l == 1:
+        return eng.left_mul_gen(E1, m)
+    return mul(e_index(l, eng.n), m)
+
+
+def _m_elt_by_left_products(n, t):
+    eng = get_engine(n)
+    m = one_elt(n)
+    for i in range(1, n + 1):
+        kind, node = t.step(i)
+        shape = t.shapes[i]
+        fi = (i - sum(shape)) // 2
+        k = node[0]
+        if kind == "add":
+            a_k = 2 * fi + sum(shape[:k])
+            a_km1 = 2 * fi + sum(shape[: k - 1])
+            acc = eng.zero()
+            for j in range(a_km1 + 1, a_k + 1):
+                term = _lmul_letters(eng, [T(x) for x in seg_word(j, i)], m)
+                acc = acc + term.scale(Q ** (a_k - j))
+            m = acc
+        else:
+            b_k = 2 * fi - 1 + sum(shape[:k])
+            m = _lmul_letters(
+                eng, [Tinv(x) for x in reversed(seg_word(b_k, 2 * fi - 1))], m
+            )
+            m = _lmul_letters(
+                eng, [Tinv(x) for x in reversed(seg_word(i, 2 * fi))], m
+            )
+            m = _lmul_e_index(eng, 2 * fi - 1, m)
+    return m
+
+
+def _x_lambda_lift(n, f, lam, window):
+    return AlgebraElt(
+        n,
+        {
+            NormalWord(f, IDENTITY, w, IDENTITY): c
+            for w, c in x_lambda(lam, window).terms.items()
+        },
+    )
+
+
+def _y_element_by_left_products(f, lam, mu, n):
+    eng = get_engine(n)
+    if sum(mu) == sum(lam) - 1:
+        k = next(
+            r + 1 for r in range(len(lam)) if (mu[r] if r < len(mu) else 0) != lam[r]
+        )
+        x = _x_lambda_lift(n, f, lam, (2 * f + 1, n))
+        for i in seg_word(2 * f + sum(lam[:k]), n):
+            x = eng.right_mul_gen(x, T(i))
+        return x
+    k = next(r + 1 for r in range(len(mu)) if (lam[r] if r < len(lam) else 0) != mu[r])
+    b_k = 2 * f - 1 + sum(lam[:k])
+    head = _lmul_e_index(eng, 2 * f - 1, one_elt(n))
+    for x in seg_word(n, 2 * f):
+        head = eng.right_mul_gen(head, Tinv(x))
+    for x in seg_word(b_k, 2 * f - 1):
+        head = eng.right_mul_gen(head, Tinv(x))
+    return mul(head, _x_lambda_lift(n, f - 1, mu, (2 * f - 1, n - 1)))
+
+
+def test_jm_lifts_and_y_elements_match_left_products():
+    for n, f, lam in labels_upto(4):
+        mod = cell_module(n, f, lam)
+        expected = [_m_elt_by_left_products(n, t) for t in mod.ud]
+        assert mod.jm_elements() == expected, (n, f, lam)
+        mus, _ = branching_list(f, lam, n)
+        for mu in mus:
+            got = y_element(f, lam, mu, n)
+            assert got == _y_element_by_left_products(f, lam, mu, n), (n, f, lam, mu)
 
 
 # ---------------------------------------------------------------------------

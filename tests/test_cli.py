@@ -2,25 +2,13 @@
 determinism, and the documented example outputs."""
 
 import json
+import os
 from fractions import Fraction
 
 import pytest
 from click.testing import CliRunner
 
 from qbrauer.cli import main
-
-
-@pytest.fixture(autouse=True)
-def _restore_cache_env():
-    # the CLI sets QBRAUER_CACHE_DIR from --cache-dir; keep that contained
-    import os
-
-    old = os.environ.get("QBRAUER_CACHE_DIR")
-    yield
-    if old is None:
-        os.environ.pop("QBRAUER_CACHE_DIR", None)
-    else:
-        os.environ["QBRAUER_CACHE_DIR"] = old
 
 
 def run(*args):
@@ -44,6 +32,11 @@ def test_verify_relations_small():
 
 def test_verify_relations_above_maximum_is_usage_error():
     res = run("verify-relations", "--n", "6")
+    assert res.exit_code == 2
+
+
+def test_verify_relations_below_minimum_is_usage_error():
+    res = run("verify-relations", "--n", "1")
     assert res.exit_code == 2
 
 
@@ -178,6 +171,17 @@ def test_cache_dir_flag(tmp_path):
     res = run("--cache-dir", str(tmp_path), "verify-relations", "--n", "2")
     assert res.exit_code == 0
     assert any(p.name.startswith("multable") for p in tmp_path.iterdir())
+
+
+def test_cache_dir_flag_leaves_the_environment_alone(tmp_path, monkeypatch):
+    default = tmp_path / "default"
+    flagged = tmp_path / "flagged"
+    monkeypatch.setenv("QBRAUER_CACHE_DIR", str(default))
+    res = run("--cache-dir", str(flagged), "verify-relations", "--n", "2")
+    assert res.exit_code == 0, res.output
+    assert os.environ["QBRAUER_CACHE_DIR"] == str(default)
+    assert [p.name for p in flagged.iterdir()] == ["multable-v2-n2.json"]
+    assert not default.exists()
 
 
 def test_corrupt_cache_is_environment_error(tmp_path):
