@@ -227,20 +227,27 @@ class Engine:
     def reduce(self, f: int, u: Perm) -> Dict[Tuple[Perm, Perm], Coeff]:
         """Normal form of E^f T_u as {(w, d): coeff} with w in the window
         S_{2f+1,n} and d in D_{f,n}."""
+        return self._memoised(self._reduce_memo, self._reduce_impl, f, u, "")
+
+    def _memoised(self, memo: dict, impl, f: int, u: Perm, tail: str):
+        """memo[(f, u)], computed by impl(f, u) on a miss.  A word met again
+        while its own rewriting is in flight is a cycle; tail names the
+        product (" E1" for sand) in that error."""
         key = (f, u)
-        hit = self._reduce_memo.get(key)
+        hit = memo.get(key)
         if hit is not None:
             return hit
-        if key in self._inflight:
+        flight = (tail, f, u)
+        if flight in self._inflight:
             raise StuckWordError(
-                f"rewriting cycle at E^{f} T_{list(u.word())}", f, u
+                f"rewriting cycle at E^{f} T_{list(u.word())}{tail}", f, u
             )
-        self._inflight.add(key)
+        self._inflight.add(flight)
         try:
-            out = self._reduce_impl(f, u)
+            out = impl(f, u)
         finally:
-            self._inflight.discard(key)
-        self._reduce_memo[key] = out
+            self._inflight.discard(flight)
+        memo[key] = out
         return out
 
     def _reduce_impl(self, f, u):
@@ -316,22 +323,7 @@ class Engine:
 
     def sand(self, f: int, v: Perm) -> AlgebraElt:
         """Normal form of E^f T_v E_1 (terms have d1 = identity)."""
-        key = (f, v)
-        hit = self._sand_memo.get(key)
-        if hit is not None:
-            return hit
-        skey = ("sand",) + key
-        if skey in self._inflight:
-            raise StuckWordError(
-                f"rewriting cycle at E^{f} T_{list(v.word())} E1", f, v
-            )
-        self._inflight.add(skey)
-        try:
-            out = self._sand_impl(f, v)
-        finally:
-            self._inflight.discard(skey)
-        self._sand_memo[key] = out
-        return out
+        return self._memoised(self._sand_memo, self._sand_impl, f, v, " E1")
 
     def _sand_impl(self, f, v) -> AlgebraElt:
         self._tick(f, v)

@@ -87,7 +87,7 @@ from .algebra import (
     right_mul_gen,
     tilde_e1,
 )
-from .linalg import kernel_basis, in_row_span, mat_inverse, mat_mul, mat_rank
+from .linalg import kernel_basis, mat_inverse, mat_mul, mat_rank
 
 CellLabel = Tuple[int, Partition]
 
@@ -226,6 +226,17 @@ def _lift_x_lambda(n: int, f: int, lam: Partition, window) -> AlgebraElt:
             NormalWord(f, IDENTITY, w, IDENTITY): c
             for w, c in x_lambda(lam, window).terms.items()
         },
+    )
+
+
+def _removal_letters(i: int, f: int, b_k: int) -> list:
+    """Letters of E_{2f-1} T_{i,2f}^{-1} T_{b_k,2f-1}^{-1}, the factor of a
+    box removal that raises the deficiency to f (the inverse of a product
+    is its reversed word of inverse letters)."""
+    return (
+        e_index_letters(2 * f - 1)
+        + [Tinv(x) for x in reversed(seg_word(i, 2 * f))]
+        + [Tinv(x) for x in reversed(seg_word(b_k, 2 * f - 1))]
     )
 
 
@@ -439,9 +450,7 @@ class CellModule:
                 sm = acc
             else:
                 b_k = 2 * fi - 1 + sum(shape[:k])
-                letters = e_index_letters(2 * fi - 1)
-                letters += [Tinv(x) for x in reversed(seg_word(i, 2 * fi))]
-                letters += [Tinv(x) for x in reversed(seg_word(b_k, 2 * fi - 1))]
+                letters = _removal_letters(i, fi, b_k)
                 sm = eng.apply_letters(sm, reversed(letters))
         return eng.sigma(sm)
 
@@ -665,12 +674,7 @@ def y_element(f: int, lam, mu, n: int) -> AlgebraElt:
             if (lam[r] if r < len(lam) else 0) != mu[r]
         )
         b_k = 2 * f - 1 + sum(lam[:k])
-        head = elt_from_letters(
-            e_index_letters(2 * f - 1)
-            + [Tinv(x) for x in seg_word(n, 2 * f)]
-            + [Tinv(x) for x in seg_word(b_k, 2 * f - 1)],
-            n,
-        )
+        head = elt_from_letters(_removal_letters(n, f, b_k), n)
         return eng.mul(head, _lift_x_lambda(n, f - 1, mu, (2 * f - 1, n - 1)))
     raise CellError("mu must differ from lam by exactly one box")
 
@@ -857,7 +861,9 @@ def radical_factor_shape(n: int, mu, spec: Specialization):
     kern = kernel_basis(specialized_gram(mod, spec))
     if not kern:
         return None
-    # traces of each Jucys-Murphy element on the radical
+    # traces of each Jucys-Murphy element on the radical: an image in the
+    # radical has its coordinates at the kernel's free columns (kernel_basis)
+    free = [max(j for j, x in enumerate(v) if x) for v in kern]
     traces = []
     for k in range(1, n + 1):
         mk = [
@@ -866,10 +872,10 @@ def radical_factor_shape(n: int, mu, spec: Specialization):
         ]
         tr = None
         for i, img in enumerate(mat_mul(kern, mk)):
-            coeffs = in_row_span(kern, img)
-            if coeffs is None:
+            coords = [img[j] for j in free]
+            if mat_mul([coords], kern)[0] != img:
                 raise CellError("radical is not invariant under L_k")
-            tr = coeffs[i] if tr is None else tr + coeffs[i]
+            tr = coords[i] if tr is None else tr + coords[i]
         traces.append(tr)
     # candidates: mu plus two boxes not in one column
     candidates = []
@@ -879,22 +885,13 @@ def radical_factor_shape(n: int, mu, spec: Specialization):
                 continue
         except CellError:
             continue
+        # the paths to lam, which has n boxes, only add
+        paths = updown_tableaux(n, lam)
         expected = []
         for k in range(1, n + 1):
             tk = None
-            for u in std_tableaux(lam):
-                path = [
-                    tuple(
-                        x
-                        for x in (
-                            sum(1 for e in row if e <= m) for row in u
-                        )
-                        if x
-                    )
-                    for m in range(n + 1)
-                ]
-                cu = ct_eigenvalue(UpDownTableau(path), k)
-                val = specialize(cu, spec)
+            for u in paths:
+                val = specialize(ct_eigenvalue(u, k), spec)
                 tk = val if tk is None else tk + val
             expected.append(tk)
         if expected == traces:

@@ -23,7 +23,11 @@ of z (the only division in the structure constants is by q - q^-1):
 
 This module alone decides what type a specialized value has: specialize
 returns a Coeff in q alone at z = q^a, a Fraction at a point of
-characteristic 0 and an Fp at a point of prime characteristic.
+characteristic 0 and an Fp at a point of prime characteristic.  The
+classical limit (q = 1 at z = q^a) is read off that Coeff: its numerator
+and denominator are coprime, so q - 1 never divides both, and the value is
+the quotient of their coefficient sums, or a pole when the denominator's
+sum is 0.
 """
 
 from __future__ import annotations
@@ -91,10 +95,11 @@ def _pshift(a: Terms, di: int, dj: int) -> Terms:
     return {(i + di, j + dj): v for (i, j), v in a.items()}
 
 
-def _pcontent(a: Terms) -> int:
+def _content(values) -> int:
+    """gcd of some integers (0 when there are none), stopping at 1."""
     g = 0
-    for v in a.values():
-        g = _igcd(g, abs(v))
+    for v in values:
+        g = _igcd(g, v)
         if g == 1:
             break
     return g
@@ -106,7 +111,15 @@ def _pmin_exps(a: Terms):
     return mi, mj
 
 
-# --- univariate (in q) integer polynomial helpers, dense lists -------------
+# --- dense lists: a polynomial in Z[q] is a list of integers, one in
+# Z[q][z] a list over z of such lists; neither keeps a trailing zero ---------
+
+
+def _trim(a: list) -> list:
+    """Drop trailing zeros (or empty rows) of a, in place."""
+    while a and not a[-1]:
+        a.pop()
+    return a
 
 
 def _ugcd(a: list, b: list) -> list:
@@ -117,38 +130,27 @@ def _ugcd(a: list, b: list) -> list:
     return a
 
 
-def _utrim(a: list) -> list:
-    while a and a[-1] == 0:
-        a.pop()
-    return a
-
-
 def _uprim(a: list) -> list:
-    a = _utrim(list(a))
+    """Primitive part with a positive leading coefficient."""
+    a = _trim(list(a))
     if not a:
         return a
-    g = 0
-    for c in a:
-        g = _igcd(g, abs(c))
-        if g == 1:
-            break
-    if g > 1:
-        a = [c // g for c in a]
+    g = _content(a)
     if a[-1] < 0:
-        a = [-c for c in a]
-    return a
+        g = -g
+    return a if g == 1 else [c // g for c in a]
 
 
 def _uprem(a: list, b: list) -> list:
     """Pseudo-remainder of a by b over Z[q]."""
     a = list(a)
     db, lb = len(b) - 1, b[-1]
-    while len(a) - 1 >= db and _utrim(a):
+    while len(a) - 1 >= db and _trim(a):
         da, la = len(a) - 1, a[-1]
         a = [c * lb for c in a]
         for k in range(db + 1):
             a[da - db + k] -= la * b[k]
-        _utrim(a)
+        _trim(a)
     return a
 
 
@@ -160,7 +162,14 @@ def _umul(a: list, b: list) -> list:
         if ca:
             for j, cb in enumerate(b):
                 out[i + j] += ca * cb
-    return _utrim(out)
+    return _trim(out)
+
+
+def _usub(a: list, b: list) -> list:
+    out = a + [0] * (len(b) - len(a))
+    for k, c in enumerate(b):
+        out[k] -= c
+    return _trim(out)
 
 
 def _uquo_exact(a: list, b: list) -> list:
@@ -169,7 +178,7 @@ def _uquo_exact(a: list, b: list) -> list:
     a = list(a)
     db, lb = len(b) - 1, b[-1]
     out = [0] * (len(a) - db)
-    while len(a) - 1 >= db and _utrim(a):
+    while len(a) - 1 >= db and _trim(a):
         da = len(a) - 1
         c, r = divmod(a[-1], lb)
         if r:
@@ -177,10 +186,10 @@ def _uquo_exact(a: list, b: list) -> list:
         out[da - db] = c
         for k in range(db + 1):
             a[da - db + k] -= c * b[k]
-        _utrim(a)
-    if _utrim(a):
+        _trim(a)
+    if _trim(a):
         raise CoefficientError("inexact polynomial division")
-    return _utrim(out)
+    return _trim(out)
 
 
 # --- bivariate gcd: z outer, coefficients in Z[q] ---------------------------
@@ -193,7 +202,7 @@ def _to_zrec(a: Terms):
     rows = [[0] * (dq + 1) for _ in range(dz + 1)]
     for (i, j), c in a.items():
         rows[j][i] = c
-    return [_utrim(r) for r in rows]
+    return [_trim(r) for r in rows]
 
 
 def _from_zrec(rows) -> Terms:
@@ -205,13 +214,8 @@ def _from_zrec(rows) -> Terms:
     return out
 
 
-def _ztrim(rows):
-    while rows and not rows[-1]:
-        rows.pop()
-    return rows
-
-
 def _zcontent(rows) -> list:
+    """gcd in Z[q] of the nonzero rows, primitive."""
     g: list = []
     for r in rows:
         if r:
@@ -222,19 +226,14 @@ def _zcontent(rows) -> list:
 
 
 def _zprim(rows):
-    rows = _ztrim([list(r) for r in rows])
-    if not rows:
-        return rows, []
-    ic = 0
-    for r in rows:
-        for c in r:
-            ic = _igcd(ic, abs(c))
-        if ic == 1:
-            break
+    """(primitive part, content in Z[q]) of a polynomial in Z[q][z], ([], [])
+    for zero; the content's integer factor is dropped."""
+    rows = _trim([list(r) for r in rows])
+    ic = _content(c for r in rows for c in r)
     if ic > 1:
         rows = [[c // ic for c in r] for r in rows]
     cont = _zcontent(rows)
-    if cont and cont != [1]:
+    if cont != [1]:
         rows = [_uquo_exact(r, cont) if r else [] for r in rows]
     return rows, cont
 
@@ -243,31 +242,18 @@ def _zprem(a, b):
     """Pseudo-remainder of a by b, z the outer variable."""
     a = [list(r) for r in a]
     db, lb = len(b) - 1, b[-1]
-    while len(a) - 1 >= db and _ztrim(a):
+    while len(a) - 1 >= db and _trim(a):
         da, la = len(a) - 1, a[-1]
         a = [_umul(r, lb) for r in a]
         for k in range(db + 1):
-            a[da - db + k] = _utrim(
-                [x - y for x, y in _zip_pad(a[da - db + k], _umul(la, b[k]))]
-            )
-        _ztrim(a)
+            a[da - db + k] = _usub(a[da - db + k], _umul(la, b[k]))
+        _trim(a)
     return a
 
 
-def _zip_pad(a: list, b: list):
-    if len(a) < len(b):
-        a = a + [0] * (len(b) - len(a))
-    elif len(b) < len(a):
-        b = b + [0] * (len(a) - len(b))
-    return zip(a, b)
-
-
 def _pgcd(a: Terms, b: Terms) -> Terms:
-    """gcd of two monomial-stripped polynomials in Z[q, z], primitive result."""
-    if not a:
-        return dict(b)
-    if not b:
-        return dict(a)
+    """gcd of two nonzero monomial-stripped polynomials in Z[q, z],
+    primitive."""
     ra, ca = _zprim(_to_zrec(a))
     rb, cb = _zprim(_to_zrec(b))
     ccont = _ugcd(ca, cb)
@@ -275,12 +261,25 @@ def _pgcd(a: Terms, b: Terms) -> Terms:
         ra, rb = rb, ra
     while rb:
         ra, rb = rb, _zprim(_zprem(ra, rb))[0]
-    g = _umul_rows(ra, ccont) if ccont != [1] else ra
-    return _from_zrec(g)
+    if ccont != [1]:
+        ra = [_umul(r, ccont) for r in ra]
+    return _from_zrec(ra)
 
 
-def _umul_rows(rows, c: list):
-    return [_umul(r, c) for r in rows]
+def _pdiv_exact(a: Terms, b: Terms) -> Terms:
+    """Exact division of polynomials in Z[q, z] (b divides a)."""
+    ra = _to_zrec(a)
+    rb = _to_zrec(b)
+    db, lb = len(rb) - 1, rb[-1]
+    quo = [[] for _ in range(len(ra) - db)]
+    while _trim(ra) and len(ra) - 1 >= db:
+        da = len(ra) - 1
+        c = quo[da - db] = _uquo_exact(ra[-1], lb)
+        for k in range(db + 1):
+            ra[da - db + k] = _usub(ra[da - db + k], _umul(c, rb[k]))
+    if ra:
+        raise CoefficientError("inexact polynomial division")
+    return _from_zrec(quo)
 
 
 # ---------------------------------------------------------------------------
@@ -314,11 +313,11 @@ def _canonical(num: Terms, den: Terms):
         else:
             num0, den = _cancel_in_q(num0, den)
         num = _pshift(num0, ni, nj)
-    c = _igcd(_pcontent(num), _pcontent(den))
+    c = _content((*num.values(), *den.values()))
     if c > 1:
         num = {k: v // c for k, v in num.items()}
         den = {k: v // c for k, v in den.items()}
-    if _lead_sign(den) < 0:
+    if den[max(den)] < 0:
         num, den = _pneg(num), _pneg(den)
     return num, den
 
@@ -328,42 +327,11 @@ def _cancel_in_q(num: Terms, den: Terms):
     and divides every z-row of the numerator.  Both are monomial-stripped."""
     d = _to_zrec(den)[0]
     rows = _to_zrec(num)
-    g = d
-    for r in rows:
-        if r:
-            g = _ugcd(g, r)
-            if len(g) == 1:
-                return num, den
+    g = _zcontent([d, *rows])
+    if g == [1]:
+        return num, den
     rows = [_uquo_exact(r, g) if r else r for r in rows]
     return _from_zrec(rows), _from_zrec([_uquo_exact(d, g)])
-
-
-def _lead_sign(a: Terms) -> int:
-    return 1 if a[max(a)] > 0 else -1
-
-
-def _pdiv_exact(a: Terms, b: Terms) -> Terms:
-    """Exact division of polynomials in Z[q, z] (b divides a)."""
-    ra = _to_zrec(a)
-    rb = _to_zrec(b)
-    out_rows = []
-    db = len(rb) - 1
-    lb = rb[-1]
-    ra = [list(r) for r in ra]
-    quo = [[] for _ in range(len(ra) - db)]
-    while _ztrim(ra) and len(ra) - 1 >= db:
-        da = len(ra) - 1
-        c = _uquo_exact(ra[-1], lb)
-        quo[da - db] = c
-        for k in range(db + 1):
-            ra[da - db + k] = _utrim(
-                [x - y for x, y in _zip_pad(ra[da - db + k], _umul(c, rb[k]))]
-            )
-        _ztrim(ra)
-    if _ztrim(ra):
-        raise CoefficientError("inexact polynomial division")
-    out_rows = quo
-    return _from_zrec(out_rows)
 
 
 class Coeff:
@@ -739,23 +707,17 @@ class NumericPoint:
         p = self.characteristic
         if p == 0:
             q0, z0 = Fraction(self.q0), Fraction(self.z0)
-            for name, v in (("q0", q0), ("z0", z0)):
-                if v == 0:
-                    raise CoefficientError(f"{name} must be invertible")
-            if q0 - 1 / q0 == 0:
-                raise CoefficientError(_Q0_POLE)
-            if z0 - 1 / z0 == 0:
-                raise CoefficientError(_DELTA_ZERO)
+        elif is_prime(p):
+            q0, z0 = Fp(self.q0, p), Fp(self.z0, p)
         else:
-            if not is_prime(p):
-                raise CoefficientError(f"characteristic {p} must be 0 or a prime")
-            q0, z0 = self.q0 % p, self.z0 % p
-            if q0 == 0 or z0 == 0:
-                raise CoefficientError("q0, z0 must be invertible mod p")
-            if (q0 - pow(q0, -1, p)) % p == 0:
-                raise CoefficientError(_Q0_POLE)
-            if (z0 - pow(z0, -1, p)) % p == 0:
-                raise CoefficientError(_DELTA_ZERO)
+            raise CoefficientError(f"characteristic {p} must be 0 or a prime")
+        for name, v in (("q0", q0), ("z0", z0)):
+            if not v:
+                raise CoefficientError(f"{name} must be invertible")
+        if not q0 - 1 / q0:
+            raise CoefficientError(_Q0_POLE)
+        if not z0 - 1 / z0:
+            raise CoefficientError(_DELTA_ZERO)
 
 
 Specialization = Union[IntegerExponent, NumericPoint]
@@ -771,10 +733,16 @@ def _eval_point(a: Terms, point: NumericPoint):
     q0, z0 = point.q0 % p, point.z0 % p
     total = 0
     for (i, j), c in a.items():
-        qi = pow(q0, i, p) if i >= 0 else pow(pow(q0, -1, p), -i, p)
-        zj = pow(z0, j, p) if j >= 0 else pow(pow(z0, -1, p), -j, p)
-        total = (total + c * qi * zj) % p
+        total = (total + c * pow(q0, i, p) * pow(z0, j, p)) % p
     return Fp(total, p)
+
+
+def _at_z_power(a: Terms, e: int) -> Terms:
+    """a at z = q^e, a polynomial in q alone."""
+    out: Terms = {}
+    for (i, j), v in a.items():
+        add_term(out, (i + e * j, 0), v)
+    return out
 
 
 def specialize(c: Coeff, s: Specialization):
@@ -785,19 +753,10 @@ def specialize(c: Coeff, s: Specialization):
     when p is prime.
     """
     if isinstance(s, IntegerExponent):
-        num = {}
-        for (i, j), v in c.num.items():
-            k = (i + s.a * j, 0)
-            num[k] = num.get(k, 0) + v
-        den = {}
-        for (i, j), v in c.den.items():
-            k = (i + s.a * j, 0)
-            den[k] = den.get(k, 0) + v
-        num = {k: v for k, v in num.items() if v}
-        den = {k: v for k, v in den.items() if v}
+        den = _at_z_power(c.den, s.a)
         if not den:
             raise PoleError(f"denominator vanishes identically at z=q^{s.a}")
-        return Coeff(num, den)
+        return Coeff(_at_z_power(c.num, s.a), den)
     den = _eval_point(c.den, s)
     if not den:
         raise PoleError("pole at numeric point")
@@ -805,44 +764,15 @@ def specialize(c: Coeff, s: Specialization):
 
 
 def classical_limit(c: Coeff, a: int) -> Fraction:
-    """Value at q=1 of c after substituting z = q^a and cancelling (q-1) powers."""
+    """Value at q = 1 of c after substituting z = q^a.  The substituted value
+    is canonical, so its numerator and denominator are coprime and q - 1
+    never divides both: the value is the quotient of their coefficient sums,
+    and a denominator sum of 0 is a pole."""
     spec = specialize(c, IntegerExponent(a))
-    num = _univar(spec.num)
-    den = _univar(spec.den)
-
-    def eval1(p):
-        return sum(p.values())
-
-    dn, dd = eval1(num), eval1(den)
-    while dd == 0:
-        if dn != 0:
-            raise PoleError(f"pole at q=1 for z=q^{a}")
-        num = _divide_q_minus_1(num)
-        den = _divide_q_minus_1(den)
-        dn, dd = eval1(num), eval1(den)
-    return Fraction(dn, dd)
-
-
-def _univar(a: Terms) -> Terms:
-    mi = min((i for i, _ in a), default=0)
-    return {(i - mi, 0): v for (i, _), v in a.items()}
-
-
-def _divide_q_minus_1(a: Terms) -> Terms:
-    """Exact division of a univariate (in q) polynomial by (q - 1)."""
-    if not a:
-        return {}
-    deg = max(i for i, _ in a)
-    coeffs = [a.get((i, 0), 0) for i in range(deg + 1)]
-    # synthetic division by root q=1
-    out = [0] * deg
-    carry = 0
-    for i in range(deg, 0, -1):
-        carry += coeffs[i]
-        out[i - 1] = carry
-    if carry + coeffs[0] != 0:
-        raise CoefficientError("not divisible by q-1")
-    return {(i, 0): v for i, v in enumerate(out) if v}
+    den = sum(spec.den.values())
+    if not den:
+        raise PoleError(f"pole at q=1 for z=q^{a}")
+    return Fraction(sum(spec.num.values()), den)
 
 
 def quantum_characteristic(char: int, q0) -> Union[int, float]:

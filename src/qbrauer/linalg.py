@@ -136,7 +136,9 @@ def mat_inverse(m: Matrix) -> Matrix:
 
 def kernel_basis(m: Matrix) -> List[list]:
     """Basis of the left kernel {v : v . m = 0} (row vectors): the right
-    kernel of m^T, one vector per free column of its reduced form."""
+    kernel of m^T, one vector per free column of its reduced form.  Vector
+    i is one at its own free column, which is its last nonzero entry, and
+    zero at every other free column."""
     if not m:
         return []
     mt = [list(col) for col in zip(*m)]

@@ -83,7 +83,7 @@ def _det_is_zero_sym(n: int, f: int, lam, a: int, seed: int = DEFAULT_SEED) -> b
     p = 2_147_483_647
     for _ in range(3):
         q0 = rng.randrange(2, p - 1)
-        z0 = pow(q0, a, p) if a >= 0 else pow(pow(q0, -1, p), -a, p)
+        z0 = pow(q0, a, p)
         try:
             point = NumericPoint(p, q0, z0)
         except CoefficientError:

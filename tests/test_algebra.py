@@ -9,7 +9,9 @@ import pytest
 from qbrauer.algebra import (
     E1,
     AlgebraElt,
+    Engine,
     MulTable,
+    StuckWordError,
     NormalWord,
     T,
     Tinv,
@@ -429,3 +431,19 @@ def test_multable_unwritable_directory_raises(tmp_path):
     blocker.write_text("")
     with pytest.raises(AlgebraError):
         MulTable.load_or_build(2, str(blocker / "sub"))
+
+
+@pytest.mark.parametrize(
+    "method, impl, tail",
+    [("reduce", "_reduce_impl", ""), ("sand", "_sand_impl", " E1")],
+)
+def test_rewriting_cycle_is_reported(monkeypatch, method, impl, tail):
+    # a rule that leads back to the word being rewritten is a cycle, for the
+    # memoised normal forms of both E^f T_u and E^f T_v E_1
+    def loop(self, f, u):
+        return getattr(self, method)(f, u)
+
+    monkeypatch.setattr(Engine, impl, loop)
+    u = perm_from_word([2])
+    with pytest.raises(StuckWordError, match=rf"cycle at E\^1 T_\[2\]{tail}$"):
+        getattr(Engine(3), method)(1, u)

@@ -11,6 +11,7 @@ from qbrauer.algebra import (
     T,
     Tinv,
     e_index,
+    elt_from_letters,
     generator_elt,
     get_engine,
     jm,
@@ -50,6 +51,7 @@ from qbrauer.combinatorics import (
     IDENTITY,
     branching_list,
     coset_reps_D,
+    dominance,
     labels,
     partitions,
     seg_word,
@@ -324,6 +326,32 @@ def test_triangularity_rank_five():
             assert cert["ok"], cert
 
 
+def _strictly_above(s, t):
+    """Whether path s lies strictly above path t in the order that
+    triangular_ud_key refines: at the last level where the paths differ, s
+    has the larger deficiency, or the same one and a strictly dominating
+    shape."""
+    k = max(i for i in range(t.n + 1) if s.shapes[i] != t.shapes[i])
+    fs, ft = ((k - sum(p.shapes[k])) // 2 for p in (s, t))
+    if fs != ft:
+        return fs > ft
+    return dominance(s.shapes[k], t.shapes[k]) == "gt"
+
+
+def test_jm_off_diagonal_entries_point_up_the_order():
+    # an entry at row t, column s of jm_matrix(k) needs s strictly above t
+    entries = 0
+    for n, f, lam in small_labels(4):
+        m = cell_module(n, f, lam)
+        for k in range(1, n + 1):
+            for i, row in enumerate(m.jm_matrix(k)):
+                for j, x in enumerate(row):
+                    if x and j != i:
+                        assert _strictly_above(m.ud[j], m.ud[i]), (n, f, lam, k, i, j)
+                        entries += 1
+    assert entries == 87
+
+
 def test_triangular_order_sorts_by_deficiency_chain():
     ud = sorted(updown_tableaux(3, (1,)), key=triangular_ud_key)
     # the tableau staying at deficiency zero longest comes first
@@ -463,9 +491,9 @@ def _y_element_by_left_products(f, lam, mu, n):
     k = next(r + 1 for r in range(len(mu)) if (lam[r] if r < len(lam) else 0) != mu[r])
     b_k = 2 * f - 1 + sum(lam[:k])
     head = _lmul_e_index(eng, 2 * f - 1, one_elt(n))
-    for x in seg_word(n, 2 * f):
+    for x in reversed(seg_word(n, 2 * f)):
         head = eng.right_mul_gen(head, Tinv(x))
-    for x in seg_word(b_k, 2 * f - 1):
+    for x in reversed(seg_word(b_k, 2 * f - 1)):
         head = eng.right_mul_gen(head, Tinv(x))
     return mul(head, _x_lambda_lift(n, f - 1, mu, (2 * f - 1, n - 1)))
 
@@ -479,6 +507,29 @@ def test_jm_lifts_and_y_elements_match_left_products():
         for mu in mus:
             got = y_element(f, lam, mu, n)
             assert got == _y_element_by_left_products(f, lam, mu, n), (n, f, lam, mu)
+
+
+def test_y_element_addition_inverts_the_positive_word():
+    # y^lam_mu = E_{2f-1} (T_{b_k,2f-1} T_{n,2f})^{-1} E^{f-1} x_mu, the
+    # inverse formed by reversing the positive letters and inverting each
+    deciding = 0
+    for n, f, lam in labels_upto(5):
+        mus, _ = branching_list(f, lam, n)
+        for mu in mus:
+            if sum(mu) != sum(lam) + 1:
+                continue
+            k = next(
+                r + 1 for r in range(len(mu)) if (lam[r] if r < len(lam) else 0) != mu[r]
+            )
+            b_k = 2 * f - 1 + sum(lam[:k])
+            positive = seg_word(b_k, 2 * f - 1) + seg_word(n, 2 * f)
+            inverse = elt_from_letters([Tinv(x) for x in reversed(positive)], n)
+            lift = _x_lambda_lift(n, f - 1, mu, (2 * f - 1, n - 1))
+            want = mul(mul(e_index(2 * f - 1, n), inverse), lift)
+            assert y_element(f, lam, mu, n) == want, (n, f, lam, mu)
+            if n - 2 * f >= 2:  # where the letter order matters
+                deciding += 1
+    assert deciding
 
 
 # ---------------------------------------------------------------------------
@@ -570,6 +621,18 @@ def test_radical_factor_rank_four():
         assert admissible(shape, (2,), spec)
     except CellError:
         pass
+
+
+def test_radical_traces_refuse_a_subspace_that_is_not_invariant(monkeypatch):
+    # the traces read coordinates off the free columns, so each image must
+    # still be compared with the combination read off: here the last coset
+    # line of C(1, (1)), which L_k does not preserve, stands in for the radical
+    def last_line(m):
+        return [[ONE if j == len(m) - 1 else ZERO for j in range(len(m))]]
+
+    monkeypatch.setattr("qbrauer.cells.kernel_basis", last_line)
+    with pytest.raises(CellError, match="not invariant"):
+        radical_factor_shape(3, (1,), IntegerExponent(1))
 
 
 def _shape_or_error(n, mu, spec):

@@ -1,6 +1,5 @@
 import random
 from fractions import Fraction
-from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -184,7 +183,7 @@ def _pgcd_canonical(num, den):
     num = co._pshift(num, -ni, -nj)
     g = co._pgcd(num, den)
     num, den = co._pdiv_exact(num, g), co._pdiv_exact(den, g)
-    c = gcd(co._pcontent(num), co._pcontent(den))
+    c = co._content([*num.values(), *den.values()])
     num = {k: v // c for k, v in num.items()}
     den = {k: v // c for k, v in den.items()}
     if den[max(den)] < 0:

@@ -128,6 +128,11 @@ def test_kernel_basis_is_a_basis_of_the_left_kernel(arg):
         assert vec_times(v, m, field) == zero
     if kern:
         assert mat_rank(kern) == len(kern)
+    # each vector is one at its free column, its last nonzero entry, and
+    # zero at the other vectors' free columns
+    free = [max(j for j, x in enumerate(v) if x) for v in kern]
+    for i, v in enumerate(kern):
+        assert [v[j] for j in free] == [field(int(k == i)) for k in range(len(kern))]
 
 
 @property_test
