@@ -164,18 +164,20 @@ class AlgebraElt:
     def coeff(self, w: NormalWord) -> Coeff:
         return self.terms.get(w, ZERO)
 
+    def display_terms(self) -> List[Tuple]:
+        """(f, d1, w, d2, coefficient) for each term, each permutation as its
+        reduced word, sorted by (f, d1, w, d2): the order of reports."""
+        return sorted(
+            ((w.f, w.d1.word(), w.w.word(), w.d2.word(), c) for w, c in self.terms.items()),
+            key=lambda term: term[:4],
+        )
+
     def __repr__(self):
-        if not self.terms:
-            return "0"
-        bits = []
-        for w, c in sorted(
-            self.terms.items(), key=lambda t: (t[0].f, t[0].d1.word(), t[0].w.word(), t[0].d2.word())
-        ):
-            bits.append(
-                f"({c})*[f={w.f};d1={list(w.d1.word())};w={list(w.w.word())};"
-                f"d2={list(w.d2.word())}]"
-            )
-        return " + ".join(bits)
+        bits = [
+            f"({c})*[f={f};d1={list(d1)};w={list(w)};d2={list(d2)}]"
+            for f, d1, w, d2, c in self.display_terms()
+        ]
+        return " + ".join(bits) or "0"
 
 
 # ---------------------------------------------------------------------------
@@ -741,9 +743,10 @@ class MulTable:
     pair (word, generator), in the order of all_normal_words(n) x gens(n);
     a row lists its terms as [word index, coefficient string].  The header
     holds the format version, n, the digest of the rule sources and a
-    CRC-32 of the rows.  A stale file (other version, rank or rules) or one
-    whose rows fail their checksum is rebuilt and overwritten; a file that
-    cannot be read or has the wrong shape raises AlgebraError."""
+    CRC-32 of the rows text as written.  A stale file (other version, rank
+    or rules) or one whose rows text fails its checksum is rebuilt and
+    overwritten; a file that cannot be read or has the wrong shape raises
+    AlgebraError."""
 
     def __init__(self, n: int, words: List[NormalWord], rows: Dict):
         self.n = n
@@ -786,16 +789,21 @@ class MulTable:
     @classmethod
     def _load(cls, n: int, path: str):
         """The table stored at path, or None if the file is stale or its
-        rows fail their checksum."""
+        rows fail their checksum.  The checksum covers the rows text as
+        read, everything after ',"rows":' but the closing brace, which is
+        exactly what save wrote."""
         try:
             with open(path) as fh:
-                data = json.load(fh)
+                text = fh.read()
+            data = json.loads(text)
             header = (data["version"], data["n"], data["rules"])
             if header != (_CACHE_VERSION, n, rules_digest()):
                 return None
             stored = data["rows"]
-            text = json.dumps(stored, separators=(",", ":"))
-            if data["rows_crc"] != zlib.crc32(text.encode()):
+            rows_text = text.partition(',"rows":')[2]
+            if not rows_text.endswith("}") or data["rows_crc"] != zlib.crc32(
+                rows_text[:-1].encode()
+            ):
                 return None
             words, gens = all_normal_words(n), cls.gens(n)
             if len(stored) != len(words) * len(gens):

@@ -8,7 +8,13 @@ E^f x_lam T_{d(t)} T_v.  The Jucys-Murphy basis {m_t} is indexed by up-down
 tableaux and is built by the add/remove recursion on the path.  That
 recursion left-multiplies; the lifts are built on sigma(m_t) instead, by
 right products with the reversed letters (sigma is an anti-automorphism
-fixing every generator), and one sigma at the end gives m_t.
+fixing every generator), and one sigma at the end gives m_t.  The basis is
+sorted by combinatorics.ud_key, which refines the order ud_dominates in
+which the Jucys-Murphy elements are triangular: L_k m_t = c_t(k) m_t plus
+terms m_s with s strictly above t.  check_triangular certifies the diagonal
+and checks each nonzero off-diagonal entry against ud_dominates itself, so
+an entry at a pair the order leaves incomparable fails even above the
+diagonal of the sort.
 
 Reduction algorithm (vector): after multiplying a lifted basis element by a
 generator, drop all words of deficiency > f, group the remaining words by
@@ -70,6 +76,8 @@ from .combinatorics import (
     seg_word,
     std_tableaux,
     superstandard,
+    ud_dominates,
+    ud_key,
     updown_tableaux,
 )
 from .hecke import HeckeElt, murphy_x, x_lambda
@@ -94,23 +102,6 @@ CellLabel = Tuple[int, Partition]
 
 class CellError(ValueError):
     pass
-
-
-def triangular_ud_key(t: UpDownTableau):
-    """Sort key whose ascending order makes the Jucys-Murphy actions upper
-    triangular: paths compared at the last differing position, where larger
-    deficiency counts as larger and equal deficiencies compare by dominance.
-
-    (This refines the partial order of the triangularity theorem; it treats
-    cross-deficiency comparisons opposite to combinatorics.label_order, whose
-    convention is fixed by its own contract.)"""
-    from .combinatorics import dominance_key
-
-    key = []
-    for k in range(t.n, -1, -1):
-        f = (k - sum(t.shapes[k])) // 2
-        key.append((f, dominance_key(t.shapes[k])))
-    return tuple(key)
 
 
 # ---------------------------------------------------------------------------
@@ -269,11 +260,8 @@ class CellModule:
         self.index = [(t, v) for t in self.tabs for v in self.reps]
         self.pos = {key: i for i, key in enumerate(self.index)}
         self.dim = len(self.index)
-        # up-down tableaux sorted increasingly in the triangularity order,
-        # so Jucys-Murphy actions become upper triangular
-        self.ud: List[UpDownTableau] = sorted(
-            updown_tableaux(n, lam), key=triangular_ud_key
-        )
+        # sorted by ud_key, so Jucys-Murphy actions are upper triangular
+        self.ud: List[UpDownTableau] = sorted(updown_tableaux(n, lam), key=ud_key)
         if len(self.ud) != self.dim:
             raise CellError("up-down tableau count does not match dimension")
         self._elements: Optional[List[AlgebraElt]] = None
@@ -480,8 +468,10 @@ class CellModule:
         return mat_mul(mat_mul(self.transition(), mat), self.transition_inv())
 
     def check_triangular(self, k: int) -> dict:
-        """Certificate that L_k is upper triangular on the Jucys-Murphy basis
-        with the predicted content diagonal."""
+        """Certificate that L_k acts on the Jucys-Murphy basis as the order
+        on up-down tableaux requires: the diagonal entry at t is the content
+        eigenvalue c_t(k), and every nonzero off-diagonal entry, at row t
+        and column s, has s strictly above t (ud_dominates(s, t))."""
         j = self.jm_matrix(k)
         failures = []
         diag = []
@@ -497,15 +487,10 @@ class CellModule:
                     }
                 )
             diag.append(str(j[i][i]))
-            for col in range(i):
-                if j[i][col]:
+            for col, value in enumerate(j[i]):
+                if value and col != i and not ud_dominates(self.ud[col], t):
                     failures.append(
-                        {
-                            "kind": "below-diagonal",
-                            "row": i,
-                            "col": col,
-                            "value": str(j[i][col]),
-                        }
+                        {"kind": "off-order", "row": i, "col": col, "value": str(value)}
                     )
         return {
             "label": [self.f, list(self.lam)],

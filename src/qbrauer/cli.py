@@ -30,7 +30,7 @@ from .coefficients import (
     ZINV,
     CoefficientError,
 )
-from .combinatorics import IDENTITY, labels
+from .combinatorics import IDENTITY, brauer_dimension, labels
 from .linalg import mat_det
 from .semisimple import (
     DEFAULT_SEED,
@@ -42,14 +42,6 @@ from .semisimple import (
 )
 
 FORMAT_VERSION = 1
-
-
-def rank(n):
-    """(2n-1)!!, the dimension of the rank-n algebra."""
-    out = 1
-    for k in range(1, 2 * n, 2):
-        out *= k
-    return out
 
 EXIT_OK = 0
 EXIT_MATH = 1
@@ -203,10 +195,10 @@ def verify_relations(ctx, n):
         "command": "verify-relations",
         "config": _config(n, max_n=5),
         "rank": len(words),
-        "expected_rank": rank(n),
+        "expected_rank": brauer_dimension(n),
         "relations_checked": checked,
         "failures": failures,
-        "ok": not failures and len(words) == rank(n),
+        "ok": not failures and len(words) == brauer_dimension(n),
     }
     _emit(ctx, payload, EXIT_OK if payload["ok"] else EXIT_MATH)
 
@@ -398,17 +390,8 @@ def mul_cmd(ctx, n, left, right):
     b = elt_from_letters(_parse_letters(right, n), n)
     prod = algebra_mul(a, b)
     terms = [
-        {
-            "f": w.f,
-            "d1": list(w.d1.word()),
-            "w": list(w.w.word()),
-            "d2": list(w.d2.word()),
-            "coeff": str(c),
-        }
-        for w, c in sorted(
-            prod.terms.items(),
-            key=lambda kv: (kv[0].f, kv[0].d1.word(), kv[0].w.word(), kv[0].d2.word()),
-        )
+        {"f": f, "d1": list(d1), "w": list(w), "d2": list(d2), "coeff": str(c)}
+        for f, d1, w, d2, c in prod.display_terms()
     ]
     payload = {
         "command": "mul",
@@ -432,9 +415,9 @@ def basis_count(ctx, n):
         "command": "basis-count",
         "config": _config(n),
         "count": len(words),
-        "expected": rank(n),
+        "expected": brauer_dimension(n),
         "by_deficiency": by_f,
-        "ok": len(words) == rank(n),
+        "ok": len(words) == brauer_dimension(n),
     }
     _emit(ctx, payload, EXIT_OK if payload["ok"] else EXIT_MATH)
 

@@ -9,8 +9,14 @@ Conventions fixed here and used everywhere:
     i > j it is s_{i-1} s_{i-2} ... s_j, and for i = j the identity.
   * Partitions are tuples of weakly decreasing positive integers; the empty
     partition is ().
-  * Labels (f, lam) are ordered with larger f strictly smaller, and equal f
-    compared by dominance of the partitions.
+  * A shape lam at level k of an up-down tableau is the label (f, lam) with
+    deficiency f = (k - |lam|)/2.  At a fixed level, larger f is strictly
+    larger (the bigger cell) and equal f compares by dominance; label_key
+    refines this to a total order.  Up-down tableaux are ordered levelwise,
+    s above t when s_k is at or above t_k at every level k (ud_dominates),
+    and ud_key refines that order.  The Jucys-Murphy elements act
+    triangularly in it: L_k m_t = c_t(k) m_t + terms m_s with s strictly
+    above t.
 """
 
 from __future__ import annotations
@@ -237,15 +243,6 @@ def dominance(lam: Partition, mu: Partition) -> str:
 CellLabel = Tuple[int, Partition]
 
 
-def label_order(a: CellLabel, b: CellLabel) -> str:
-    """Order on labels (f, lam): larger f is strictly smaller; equal f
-    compared by dominance."""
-    (fa, la), (fb, lb) = a, b
-    if fa != fb:
-        return "lt" if fa > fb else "gt"
-    return dominance(la, lb)
-
-
 def dominance_key(lam: Partition):
     """Total-order key refining dominance (descending partial sums, then lex)."""
     acc, out = 0, []
@@ -256,9 +253,25 @@ def dominance_key(lam: Partition):
     return tuple(out) + (acc,) * (sum(lam) - len(out))
 
 
+def label_key(k: int, lam: Partition):
+    """Total-order key of the shape lam at level k of an up-down tableau:
+    its deficiency (k - |lam|)/2, larger is larger, then dominance_key."""
+    return ((k - sum(lam)) // 2, dominance_key(lam))
+
+
+def brauer_dimension(n: int) -> int:
+    """(2n-1)!!, the number of Brauer diagrams on 2n points and the
+    dimension of the rank-n algebra."""
+    out = 1
+    for k in range(1, 2 * n, 2):
+        out *= k
+    return out
+
+
 def labels(n: int) -> List[CellLabel]:
     """All cell labels (f, lam) with 0 <= f <= n//2, lam a partition of n-2f,
-    listed with smaller labels last (larger f last, dominance-descending)."""
+    in report order: f ascending, each f dominance_key-descending.  This is
+    a listing, not the order of label_key."""
     out: List[CellLabel] = []
     for f in range(n // 2 + 1):
         lams = partitions(n - 2 * f)
@@ -469,22 +482,19 @@ def branching_list(
     f: int, lam: Partition, n: int
 ) -> Tuple[List[Partition], int]:
     """Ordered restriction list for the label (f, lam) of the rank-n algebra:
-    removals (labels (f, .) at rank n-1) dominance-descending, then additions
-    (labels (f-1, .)) dominance-descending.  Returns (list, split_index)."""
+    the shapes at rank n-1 reached by removing a box (labels (f, .)) and,
+    when f > 0, by adding one (labels (f-1, .)), by label_key(n-1, .)
+    descending, so removals come first.  Returns (list, number of
+    removals)."""
     if sum(lam) != n - 2 * f or f < 0:
         raise CombinatoricsError(f"({f}, {lam}) is not a label at rank {n}")
     removable, addable = nodes(lam)
-    rem = sorted(
-        (remove_node(lam, p) for p in removable),
-        key=dominance_key,
-        reverse=True,
-    )
-    if f == 0:
-        return rem, len(rem)
-    add = sorted(
-        (add_node(lam, p) for p in addable), key=dominance_key, reverse=True
-    )
-    return rem + add, len(rem)
+    mus = [remove_node(lam, p) for p in removable]
+    split = len(mus)
+    if f:
+        mus += [add_node(lam, p) for p in addable]
+    mus.sort(key=lambda mu: label_key(n - 1, mu), reverse=True)
+    return mus, split
 
 
 # ---------------------------------------------------------------------------
@@ -552,18 +562,22 @@ def updown_tableaux(n: int, lam: Partition) -> List[UpDownTableau]:
     return [UpDownTableau(p) for p in paths if p[-1] == lam]
 
 
-def ud_compare(sp: UpDownTableau, tp: UpDownTableau):
-    """('eq', None), ('gt'|'lt', k) with k the last differing position, or
-    ('inc', k)."""
-    if sp.n != tp.n or sp.shape != tp.shape:
-        raise CombinatoricsError("paths must share length and final shape")
-    if sp.shapes == tp.shapes:
-        return ("eq", None)
-    k = max(i for i in range(sp.n + 1) if sp.shapes[i] != tp.shapes[i])
-    fa = (k - sum(sp.shapes[k])) // 2
-    fb = (k - sum(tp.shapes[k])) // 2
-    verdict = label_order((fa, sp.shapes[k]), (fb, tp.shapes[k]))
-    return (verdict, k)
+def ud_key(t: UpDownTableau):
+    """Sort key refining ud_dominates: the label_key of each level, the last
+    level first."""
+    return tuple(label_key(k, t.shapes[k]) for k in range(t.n, -1, -1))
+
+
+def ud_dominates(s: UpDownTableau, t: UpDownTableau) -> bool:
+    """Whether s is at or above t: at every level k the label of s_k has
+    the larger deficiency, or the same one and a shape dominating t_k."""
+    if s.n != t.n:
+        raise CombinatoricsError("paths must share their length")
+    for k, (a, b) in enumerate(zip(s.shapes, t.shapes)):
+        fa, fb = label_key(k, a)[0], label_key(k, b)[0]
+        if fa < fb or (fa == fb and dominance(a, b) in ("lt", "inc")):
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ from fractions import Fraction
 from typing import Dict, FrozenSet, List, Sequence, Tuple
 
 from .coefficients import A, Coeff, DELTA, ONE, Q, Z, add_term
-from .combinatorics import Perm
+from .combinatorics import Perm, brauer_dimension
 
 Word = Tuple[str, ...]  # letters like "T1", "T2", "E"
 Vector = Dict[Word, Coeff]
@@ -53,9 +53,7 @@ class FreeQuotientOracle:
             rules[("E", "T2", "E")] = [(("E",), Z)]
         self.rules = rules
         self._max_rule = max(len(k) for k in rules)
-        self.dimension_target = 1
-        for k in range(2 * n - 1, 0, -2):
-            self.dimension_target *= k
+        self.dimension_target = brauer_dimension(n)
         self.basis = self._saturate()
 
     # -- rewriting ----------------------------------------------------------

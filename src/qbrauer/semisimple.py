@@ -15,7 +15,7 @@ gate e > n); both routes must agree.
 from __future__ import annotations
 
 import random
-from typing import Optional, Set, Union
+from typing import List, Optional, Set, Tuple, Union
 
 from .coefficients import (
     CoefficientError,
@@ -28,7 +28,7 @@ from .coefficients import (
     quantum_characteristic,
     specialize,
 )
-from .combinatorics import labels, partitions
+from .combinatorics import Partition, labels, partitions
 from .cells import cell_module, specialized_gram
 from .linalg import mat_det
 
@@ -97,22 +97,21 @@ def _det_is_zero_sym(n: int, f: int, lam, a: int, seed: int = DEFAULT_SEED) -> b
     return not gram_det_at(n, f, lam, IntegerExponent(a))
 
 
+def deficiency_one_labels(n: int) -> List[Tuple[int, Partition]]:
+    """The pairs (k, lam) with 2 <= k <= n and lam a partition of k - 2: the
+    deficiency-one labels (1, lam) of every rank k <= n."""
+    return [(k, lam) for k in range(2, n + 1) for lam in partitions(k - 2)]
+
+
 def scan(n: int, a_min: int, a_max: int, seed: int = DEFAULT_SEED) -> Set[int]:
     """Exponents a in [a_min, a_max] for which some deficiency-one Gram
     determinant of a rank k <= n algebra vanishes identically at z = q^a."""
-    out: Set[int] = set()
-    for a in range(a_min, a_max + 1):
-        vanishes = False
-        for k in range(2, n + 1):
-            for lam in partitions(k - 2):
-                if _det_is_zero_sym(k, 1, lam, a, seed=seed):
-                    vanishes = True
-                    break
-            if vanishes:
-                break
-        if vanishes:
-            out.add(a)
-    return out
+    reduced = deficiency_one_labels(n)
+    return {
+        a
+        for a in range(a_min, a_max + 1)
+        if any(_det_is_zero_sym(k, 1, lam, a, seed=seed) for k, lam in reduced)
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -141,15 +140,11 @@ def brute_semisimple(n: int, spec: NumericPoint) -> dict:
     reduced_ok = e > n
     reduced_witnesses = []
     if reduced_ok:
-        for k in range(2, n + 1):
-            for lam in partitions(k - 2):
-                d = gram_det_at(k, 1, lam, spec)
-                zero = not d
-                reduced_witnesses.append(
-                    {"rank": k, "lambda": list(lam), "det_zero": zero}
-                )
-                if zero:
-                    reduced_ok = False
+        for k, lam in deficiency_one_labels(n):
+            zero = not gram_det_at(k, 1, lam, spec)
+            reduced_witnesses.append({"rank": k, "lambda": list(lam), "det_zero": zero})
+            if zero:
+                reduced_ok = False
     if full_ok != reduced_ok:
         raise SemisimpleError(
             f"verification routes disagree at {spec}: full={full_ok}, "

@@ -343,6 +343,12 @@ def _rows_crc(rows):
     return zlib.crc32(json.dumps(rows, separators=(",", ":")).encode())
 
 
+def _write_table(path, data):
+    """Write a table file laid out as MulTable.save lays it out, so its
+    rows text is the compact serialisation that _rows_crc checks."""
+    path.write_text(json.dumps(data, separators=(",", ":")))
+
+
 def test_multable_file_format(tmp_path):
     from qbrauer.algebra import rules_digest
 
@@ -362,7 +368,7 @@ def test_multable_tampered_row_is_rebuilt(tmp_path):
     path, data = _stored_table(tmp_path, n)
     row, ident = _t1_on_identity(n)
     data["rows"][row] = [[ident, "7"]]
-    path.write_text(json.dumps(data))
+    _write_table(path, data)
     table = MulTable.load_or_build(n, str(tmp_path))
     t1 = _indexed(generator_elt(T(1), n), table.words)
     assert table.right_mul_gen({ident: ONE}, T(1)) == t1
@@ -381,11 +387,25 @@ def test_multable_foreign_rules_are_rebuilt(tmp_path):
     data["rows"][row] = [[ident, "7"]]
     data["rows_crc"] = _rows_crc(data["rows"])
     data["rules"] = rules_digest() ^ 1
-    path.write_text(json.dumps(data))
+    _write_table(path, data)
     table = MulTable.load_or_build(n, str(tmp_path))
     t1 = _indexed(generator_elt(T(1), n), table.words)
     assert table.right_mul_gen({ident: ONE}, T(1)) == t1
     assert json.loads(path.read_text())["rules"] == rules_digest()
+
+
+def test_multable_rows_text_is_checked_as_written(tmp_path):
+    # the same rows and checksum, with the rows text spaced out: the file
+    # is not what save wrote, so it is rebuilt rather than trusted
+    n = 2
+    path, data = _stored_table(tmp_path, n)
+    written = path.read_text()
+    _write_table(path, data)
+    assert path.read_text() == written
+    path.write_text(json.dumps(data))
+    assert path.read_text() != written
+    MulTable.load_or_build(n, str(tmp_path))
+    assert path.read_text() == written
 
 
 @pytest.mark.parametrize("content", ["[]", "7", None])
@@ -419,7 +439,7 @@ def test_multable_rows_of_the_wrong_shape_raise(tmp_path):
         with_row([[-1, "1"]]),
         with_row([[ident, "q^"]]),
     ):
-        path.write_text(json.dumps(dict(data, rows=rows, rows_crc=_rows_crc(rows))))
+        _write_table(path, dict(data, rows=rows, rows_crc=_rows_crc(rows)))
         with pytest.raises(AlgebraError):
             MulTable.load_or_build(n, str(tmp_path))
 

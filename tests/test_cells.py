@@ -23,6 +23,7 @@ from qbrauer.algebra import (
 )
 from qbrauer.cells import (
     CellError,
+    CellModule,
     VLayer,
     admissible,
     admissible_exponent,
@@ -32,7 +33,6 @@ from qbrauer.cells import (
     radical_dim,
     radical_factor_shape,
     specialized_gram,
-    triangular_ud_key,
     v_form_entry_shapes,
     v_form_gram,
     y_element,
@@ -51,11 +51,13 @@ from qbrauer.combinatorics import (
     IDENTITY,
     branching_list,
     coset_reps_D,
-    dominance,
+    ct_eigenvalue,
     labels,
     partitions,
     seg_word,
     std_tableaux,
+    ud_dominates,
+    ud_key,
     updown_tableaux,
 )
 from qbrauer.hecke import hecke_T, murphy_x, x_lambda
@@ -326,20 +328,9 @@ def test_triangularity_rank_five():
             assert cert["ok"], cert
 
 
-def _strictly_above(s, t):
-    """Whether path s lies strictly above path t in the order that
-    triangular_ud_key refines: at the last level where the paths differ, s
-    has the larger deficiency, or the same one and a strictly dominating
-    shape."""
-    k = max(i for i in range(t.n + 1) if s.shapes[i] != t.shapes[i])
-    fs, ft = ((k - sum(p.shapes[k])) // 2 for p in (s, t))
-    if fs != ft:
-        return fs > ft
-    return dominance(s.shapes[k], t.shapes[k]) == "gt"
-
-
 def test_jm_off_diagonal_entries_point_up_the_order():
-    # an entry at row t, column s of jm_matrix(k) needs s strictly above t
+    # an entry at row t, column s of jm_matrix(k) needs s strictly above t:
+    # at or above it at every level, and a different path
     entries = 0
     for n, f, lam in small_labels(4):
         m = cell_module(n, f, lam)
@@ -347,13 +338,40 @@ def test_jm_off_diagonal_entries_point_up_the_order():
             for i, row in enumerate(m.jm_matrix(k)):
                 for j, x in enumerate(row):
                     if x and j != i:
-                        assert _strictly_above(m.ud[j], m.ud[i]), (n, f, lam, k, i, j)
+                        assert ud_dominates(m.ud[j], m.ud[i]), (n, f, lam, k, i, j)
                         entries += 1
     assert entries == 87
 
 
+def test_check_triangular_flags_entries_the_order_does_not_allow():
+    # a fresh module, so the patched jm_matrix does not reach the cached one
+    m = CellModule(4, 1, (2,))
+    pairs = [(i, j) for i in range(m.dim) for j in range(m.dim) if i != j]
+    above = next(p for p in pairs if ud_dominates(m.ud[p[1]], m.ud[p[0]]))
+    # above the diagonal of the sort, yet incomparable in the order
+    i, j = next(
+        (i, j)
+        for i, j in pairs
+        if i < j and not ud_dominates(m.ud[j], m.ud[i])
+        and not ud_dominates(m.ud[i], m.ud[j])
+    )
+    k = 4
+    mat = [
+        [ct_eigenvalue(t, k) if r == c else ZERO for c in range(m.dim)]
+        for r, t in enumerate(m.ud)
+    ]
+    mat[above[0]][above[1]] = ONE
+    m.jm_matrix = lambda k: mat
+    assert m.check_triangular(k)["ok"]
+    mat[i][j] = A
+    cert = m.check_triangular(k)
+    assert cert["failures"] == [{"kind": "off-order", "row": i, "col": j, "value": str(A)}]
+    assert not cert["ok"]
+    assert cert["diagonal"] == [str(ct_eigenvalue(t, k)) for t in m.ud]
+
+
 def test_triangular_order_sorts_by_deficiency_chain():
-    ud = sorted(updown_tableaux(3, (1,)), key=triangular_ud_key)
+    ud = sorted(updown_tableaux(3, (1,)), key=ud_key)
     # the tableau staying at deficiency zero longest comes first
     fs = [sum(t.shapes[i]) for t in ud for i in (1,)]
     assert fs == sorted(fs, reverse=True)

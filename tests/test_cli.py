@@ -5,10 +5,13 @@ import json
 import os
 from fractions import Fraction
 
+import click
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings, strategies as st
 
-from qbrauer.cli import main
+from qbrauer.algebra import E1, T, Tinv
+from qbrauer.cli import _parse_letters, _parse_numeric, _parse_partition, main
 
 
 def run(*args):
@@ -226,7 +229,7 @@ def test_cache_with_rows_of_the_wrong_shape_is_environment_error(tmp_path):
     # a checksum that matches, over rows that do not fit the rank
     data["rows"] = [[["x", "1"]]]
     data["rows_crc"] = zlib.crc32(b'[[["x","1"]]]')
-    path.write_text(json.dumps(data))
+    path.write_text(json.dumps(data, separators=(",", ":")))
     res = run("--cache-dir", str(tmp_path), "verify-relations", "--n", "2")
     _assert_environment_error(res)
 
@@ -299,7 +302,7 @@ def test_verify_relations_reports_the_failures_of_a_trusted_table(tmp_path):
     data["rows"][0] = [[0, "7"]]
     text = json.dumps(data["rows"], separators=(",", ":"))
     data["rows_crc"] = zlib.crc32(text.encode())
-    path.write_text(json.dumps(data))
+    path.write_text(json.dumps(data, separators=(",", ":")))
     res = run("--cache-dir", str(tmp_path), "verify-relations", "--n", str(n))
     assert res.exit_code == 1, res.output
     report = json.loads(res.output)
@@ -375,3 +378,79 @@ def test_rational_numeric_point():
     # (z0 - 1/z0)/(q0 - 1/q0) at q0 = 3/2, z0 = 5/7
     z0, q0 = Fraction(5, 7), Fraction(3, 2)
     assert data["determinant"] == str((z0 - 1 / z0) / (q0 - 1 / q0))
+
+
+def _value_or_usage_error(parse, *args):
+    """parse(*args), or None when it raises click.UsageError; any other
+    exception propagates and fails the test."""
+    try:
+        return parse(*args)
+    except click.UsageError:
+        return None
+
+
+_partitions = st.lists(st.integers(1, 30), max_size=8).map(
+    lambda parts: tuple(sorted(parts, reverse=True))
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=st.one_of(st.text(), st.text(alphabet="[]0123456789,- _+", max_size=16)))
+def test_parse_partition_returns_a_partition_or_a_usage_error(text):
+    lam = _value_or_usage_error(_parse_partition, text)
+    if lam is not None:
+        assert all(p > 0 for p in lam) and list(lam) == sorted(lam, reverse=True)
+
+
+@settings(max_examples=200, deadline=None)
+@given(lam=_partitions)
+def test_parse_partition_round_trips(lam):
+    assert _parse_partition(str(list(lam))) == lam
+    assert _parse_partition("[%s]" % ",".join(map(str, lam))) == lam
+
+
+_letters = st.lists(
+    st.one_of(
+        st.just(E1),
+        st.integers(1, 4).map(T),
+        st.integers(1, 4).map(Tinv),
+    ),
+    max_size=6,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    text=st.one_of(st.text(), st.text(alphabet="ETinv0123456789* -", max_size=20)),
+    n=st.integers(2, 5),
+)
+def test_parse_letters_returns_letters_or_a_usage_error(text, n):
+    letters = _value_or_usage_error(_parse_letters, text, n)
+    if letters is not None:
+        assert all(g == E1 or 1 <= g[1] <= n - 1 for g in letters)
+
+
+@settings(max_examples=200, deadline=None)
+@given(letters=_letters)
+def test_parse_letters_round_trips(letters):
+    text = " ".join("E1" if g == E1 else f"{g[0]}{g[1]}" for g in letters)
+    assert _parse_letters(text, 5) == letters
+
+
+_numeric_text = st.one_of(
+    st.text(),
+    st.text(alphabet="0123456789,/- ", max_size=24),
+    st.tuples(
+        st.sampled_from(["0", "2", "3", "7", "9", "10007", "-7", "1"]),
+        st.sampled_from(["0", "1", "-1", "2", "3", "3/2", "1/0", "x"]),
+        st.sampled_from(["0", "1", "-1", "2", "5", "5/7", "1/2", ""]),
+    ).map(",".join),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=_numeric_text)
+def test_parse_numeric_returns_a_point_or_a_usage_error(text):
+    point = _value_or_usage_error(_parse_numeric, text)
+    if point is not None:
+        assert point.characteristic == int(text.split(",")[0])

@@ -17,7 +17,6 @@ from qbrauer.combinatorics import (
     ct_eigenvalue,
     d_config,
     dominance,
-    label_order,
     labels,
     nodes,
     partitions,
@@ -27,7 +26,8 @@ from qbrauer.combinatorics import (
     seg,
     std_tableaux,
     superstandard,
-    ud_compare,
+    ud_dominates,
+    ud_key,
     updown_tableaux,
 )
 
@@ -52,13 +52,6 @@ def test_dominance():
     assert dominance((2, 2), (2, 2)) == "eq"
     with pytest.raises(CombinatoricsError):
         dominance((2,), (1, 1, 1))
-
-
-def test_label_order():
-    # larger deficiency is strictly smaller
-    assert label_order((1, (2,)), (0, (4,))) == "lt"
-    assert label_order((0, (2, 1)), (0, (1, 1, 1))) == "gt"
-    assert label_order((2, ()), (1, (2,))) == "lt"
 
 
 def test_std_tableaux_and_coset_word():
@@ -162,29 +155,34 @@ def test_updown_counts():
                 assert got == len(coset_reps_D(f, n)) * len(std_tableaux(lam))
 
 
-def test_ud_compare():
+def test_ud_dominates_examples():
     s1 = UpDownTableau([(), (1,), (2,), (1,)])
     t1 = UpDownTableau([(), (1,), (1, 1), (1,)])
-    assert ud_compare(s1, t1) == ("gt", 2)
-    assert ud_compare(t1, s1) == ("lt", 2)
     u1 = UpDownTableau([(), (1,), (), (1,)])
-    assert ud_compare(u1, s1) == ("lt", 2)
-    assert ud_compare(s1, s1) == ("eq", None)
+    # same deficiency at level 2: dominance decides
+    assert ud_dominates(s1, t1) and not ud_dominates(t1, s1)
+    # a larger deficiency at level 2 is above
+    assert ud_dominates(u1, s1) and not ud_dominates(s1, u1)
+    assert ud_dominates(s1, s1)
+    # above at level 3 by deficiency, below at level 2 by dominance
+    x = UpDownTableau([(), (1,), (1, 1), (1,), (2,)])
+    y = UpDownTableau([(), (1,), (2,), (3,), (2,)])
+    assert not ud_dominates(x, y) and not ud_dominates(y, x)
 
 
-def test_ud_compare_order_axioms():
-    random.seed(7)
+def test_ud_dominates_is_a_partial_order_refined_by_ud_key():
     pool = updown_tableaux(5, (1,))
-    for _ in range(200):
-        x, y, z = random.choice(pool), random.choice(pool), random.choice(pool)
-        vxy = ud_compare(x, y)[0]
-        vyx = ud_compare(y, x)[0]
-        if x == y:
-            assert vxy == "eq"
-        if vxy == "gt":
-            assert vyx == "lt"
-        if vxy == "gt" and ud_compare(y, z)[0] == "gt":
-            assert ud_compare(x, z)[0] == "gt"
+    above = {(x, y) for x in pool for y in pool if ud_dominates(x, y)}
+    for x in pool:
+        assert (x, x) in above
+    for x, y in above:
+        if x != y:
+            assert (y, x) not in above
+            assert ud_key(x) > ud_key(y)
+        for z in pool:
+            if (y, z) in above:
+                assert (x, z) in above
+    assert len(above) > len(pool)
 
 
 def test_ct_eigenvalue():
