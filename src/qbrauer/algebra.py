@@ -10,10 +10,13 @@ mutually recursive rewriting primitives:
   * sand(f, v):  normal form of E^f T_v E_1, a combination of layer-f
     (contraction) and layer-(f+1) (merge) terms.
 
-reduce first factors u through the stabilizer coset of the f pair blocks;
-sand first tries its contact cases and the right descents of v.  Both then
-apply the first of four left-descent rules, for a left descent m of u
-(Engine._left_rule, shared by the two):
+The product of a basis word E^f T_w T_d by E_1 is sand(f, w d) itself,
+before the left coset factor sigma(T_{d1}) is applied.  reduce first
+factors u through the stabilizer coset of the f pair blocks; sand first
+tries its contact cases, then the right descents of v (T_1 is absorbed as
+q, T_k with k >= 3 commutes past E_1).  Both then apply the first of four
+left-descent rules, for a left descent m of u (Engine._left_rule, shared
+by the two):
 
   (a) m odd, m <= 2f-1: T_m is absorbed, E^f T_u = q E^f T_{s_m u};
   (b) m >= 2f+1: T_m commutes with E^f and moves to the window factor;
@@ -33,7 +36,8 @@ each normal word.  Memo values are shared between callers and are never
 mutated: every operation on an AlgebraElt builds a new element.  Products
 of whole elements replay the generator letters of the right factor's normal
 words (mul); a cell module applies those same letters as its cached
-generator matrices instead (cells.CellModule.act_elt).
+generator matrices instead (cells.CellModule.act_elt).  Every sum of
+elements on this path accumulates its terms in one dict (_lin_comb).
 
 MulTable is the regular representation: the action of every generator on
 every normal word, as sparse rows of word indices and coefficients, cached
@@ -349,12 +353,10 @@ class Engine:
             # (commute v'' past the outer E_1 factors and contract T_2)
             vp = v * s(2)
             if vp.length() < v.length() and vp.supported_in(3, n):
-                out = self.zero()
-                for (omega, dd), c in self.reduce(f, vp).items():
-                    out = out + AlgebraElt(
-                        n, {NormalWord(f, IDENTITY, omega, dd): Z * c}
-                    )
-                return out
+                return AlgebraElt(n, {
+                    NormalWord(f, IDENTITY, omega, dd): Z * c
+                    for (omega, dd), c in self.reduce(f, vp).items()
+                })
         # right descents: k = 1 absorbs into E_1, k >= 3 commutes past E_1;
         # then the left-descent rules
         rds = v.right_descents()
@@ -369,10 +371,7 @@ class Engine:
             kind, arg = rule
             if kind == "window":
                 return self.left_mul_gen(T(arg), self.sand(f, s(arg) * v))
-            out = self.zero()
-            for u2, c in arg.items():
-                out = out + self.sand(f, u2).scale(c)
-            return out
+            return _lin_comb(n, ((c, self.sand(f, u2)) for u2, c in arg.items()))
         if f == 0:
             # T_v E_1 = sigma(E_1 T_{v^{-1}}); needs v^{-1} in D_{1,n}
             vi = v.inv()
@@ -391,10 +390,7 @@ class Engine:
         expanding T_{1,2f+1}^{-1} = (T_{2f} - A)...(T_1 - A) turns the right
         side into the v0 term plus strictly shorter sandwich words, so the
         v0 term equals E^(f+1) minus those corrections."""
-        n = self.n
-        out = AlgebraElt(
-            n, {NormalWord(f + 1, IDENTITY, IDENTITY, IDENTITY): ONE}
-        )
+        pieces = [(ONE, e_power(f + 1, self.n))]
         tail = seg(2 * f + 2, 2)  # word (2f+1, 2f, ..., 2)
         full = list(range(2 * f, 0, -1))  # letters of T_{2f+1,1}
         # iterate over proper subsets: keep[i] False means letter deleted
@@ -409,16 +405,15 @@ class Engine:
             )
             for u2, c in expanded.items():
                 self._tick(f, u2)
-                out = out - self.sand(f, u2).scale(coeff * c)
-        return out
+                pieces.append((-(coeff * c), self.sand(f, u2)))
+        return _lin_comb(self.n, pieces)
 
     # -- right multiplication by a generator ------------------------------------------
 
     def right_mul_gen(self, x: AlgebraElt, g) -> AlgebraElt:
-        out = self.zero()
-        for word, c in x.terms.items():
-            out = out + self._rmul_word(word, g).scale(c)
-        return out
+        return _lin_comb(
+            self.n, ((c, self._rmul_word(word, g)) for word, c in x.terms.items())
+        )
 
     def _rmul_word(self, x: NormalWord, g) -> AlgebraElt:
         """x . g for a basis word x; the shared memo entry, never mutated."""
@@ -452,23 +447,7 @@ class Engine:
         # g == E1
         if n < 2:
             raise AlgebraError("E_1 requires n >= 2")
-        # peel the right parabolic <s_1> x S_{3,n} off u: u = v . sig
-        v = u
-        sig_word: List[int] = []
-        while True:
-            ds = [k for k in v.right_descents() if k == 1 or k >= 3]
-            if not ds:
-                break
-            k = ds[0]
-            v = v * s(k)
-            sig_word.append(k)
-        sig_word.reverse()
-        eps = sum(1 for k in sig_word if k == 1)
-        win_word = [k for k in sig_word if k >= 3]
-        # T_u E_1 = q^eps T_v E_1 T_{win}
-        res = self.sand(f, v).scale(Q**eps)
-        for k in win_word:
-            res = self.right_mul_gen(res, T(k))
+        res = self.sand(f, u)
         if not d1.is_identity():
             res = self.left_mul_sigma_T(res, d1)
         return res
@@ -489,10 +468,7 @@ class Engine:
 
     def left_mul_sigma_T(self, x: AlgebraElt, d: Perm) -> AlgebraElt:
         """sigma(T_d) . x computed as sigma(sigma(x) . T_d)."""
-        y = self.sigma(x)
-        for i in d.word():
-            y = self.right_mul_gen(y, T(i))
-        return self.sigma(y)
+        return self.sigma(self.apply_letters(self.sigma(x), [T(i) for i in d.word()]))
 
     # -- words and products ----------------------------------------------------------
 
@@ -511,12 +487,21 @@ class Engine:
 
     def mul(self, a: AlgebraElt, b: AlgebraElt) -> AlgebraElt:
         a._check(b)
-        out = self.zero()
-        for word, c in b.terms.items():
-            out = out + self.apply_letters(
-                a.scale(c), self.word_letters(word)
-            )
-        return out
+        return _lin_comb(self.n, (
+            (c, self.apply_letters(a, self.word_letters(word)))
+            for word, c in b.terms.items()
+        ))
+
+
+def _lin_comb(n: int, pieces: Iterable[Tuple[Coeff, AlgebraElt]]) -> AlgebraElt:
+    """The sum of c . x over pieces (c, x), accumulated in one dict."""
+    out: Dict[NormalWord, Coeff] = {}
+    for c, x in pieces:
+        for w, v in x.terms.items():
+            add_term(out, w, c * v)
+    r = AlgebraElt(n)
+    r.terms = out
+    return r
 
 
 def e_power_letters(f: int) -> List[Tuple]:
@@ -553,14 +538,9 @@ def one_elt(n: int) -> AlgebraElt:
 
 def generator_elt(g, n: int) -> AlgebraElt:
     """T_i, Tinv_i or E_1 as a normal-form element."""
+    if g != E1 and not (1 <= g[1] <= n - 1):
+        raise AlgebraError(f"generator index {g[1]} out of range for n={n}")
     eng = get_engine(n)
-    if g == E1:
-        if n < 2:
-            raise AlgebraError("E_1 requires n >= 2")
-        return AlgebraElt(n, {NormalWord(1, IDENTITY, IDENTITY, IDENTITY): ONE})
-    kind, i = g
-    if not (1 <= i <= n - 1):
-        raise AlgebraError(f"generator index {i} out of range for n={n}")
     return eng.right_mul_gen(eng.one(), g)
 
 
@@ -636,10 +616,9 @@ def jm_terms(i: int, n: int) -> List[Tuple[Coeff, List[Tuple]]]:
 
 def jm(i: int, n: int) -> AlgebraElt:
     """Jucys-Murphy element L_i, from the letter strings of jm_terms."""
-    out = AlgebraElt(n)
-    for c, letters in jm_terms(i, n):
-        out = out + elt_from_letters(letters, n).scale(c)
-    return out
+    return _lin_comb(
+        n, ((c, elt_from_letters(letters, n)) for c, letters in jm_terms(i, n))
+    )
 
 
 def jm_recursive(i: int, n: int) -> AlgebraElt:

@@ -110,12 +110,14 @@ class CellError(ValueError):
 
 
 class _MurphySolver:
-    """Gauss-Jordan decomposition of the Murphy basis of a Hecke window.
+    """Forward elimination of the Murphy basis of a Hecke window.
 
-    Columns are the Murphy elements x_{st} over all shapes; after the
-    decomposition each group element h of the window algebra expands in one
-    sparse pass.  Pivots are chosen among longest remaining words, which
-    keeps the elimination close to the length grading."""
+    Columns are the Murphy elements x_{st} over all shapes.  Each is reduced
+    against the pivots stored before it and stored with a new pivot, so a
+    stored column is zero at every earlier pivot (there is no Jordan step:
+    it may be nonzero at later ones).  Pivots are chosen among longest
+    remaining words, which keeps the elimination close to the length
+    grading."""
 
     def __init__(self, window: Tuple[int, int]):
         lo, hi = window
@@ -147,16 +149,14 @@ class _MurphySolver:
         inv = ONE / col[pivot]
         col = {w: c * inv for w, c in col.items()}
         combo = {k: c * inv for k, c in combo.items()}
-        # eliminate the new pivot from all stored columns (Jordan step)
-        for p, (pcol, pcombo) in self.pivots.items():
-            c = pcol.get(pivot)
-            if c:
-                _subtract(pcol, col, c)
-                _subtract(pcombo, combo, c)
         self.pivots[pivot] = (col, combo)
 
     def expand(self, h: HeckeElt) -> Dict[tuple, Coeff]:
-        """Coefficients {(shape, s, t): coeff} of h in the Murphy basis."""
+        """Coefficients {(shape, s, t): coeff} of h in the Murphy basis.
+
+        One pass over the pivots in insertion order is a triangular solve:
+        subtracting a stored column leaves h unchanged at every earlier
+        pivot."""
         work = dict(h.terms)
         out: Dict[tuple, Coeff] = {}
         for p, (pcol, pcombo) in self.pivots.items():
@@ -400,11 +400,6 @@ class CellModule:
                 base.append(row[ref])
             self._gram = _gram_from_base(self.act, base, self._words())
         return self._gram
-
-    def gram_det(self) -> Coeff:
-        from .linalg import mat_det
-
-        return mat_det(self.gram())
 
     # -- Jucys-Murphy basis ----------------------------------------------------
 

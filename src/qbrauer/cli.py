@@ -70,9 +70,12 @@ def _parse_partition(text):
 
 
 def _parse_numeric(text):
-    """p,q0,z0 with p = 0 (q0, z0 rationals such as 3/2) or a prime p."""
+    """p,q0,z0 with p = 0 (q0, z0 rationals such as 3/2) or a prime p.
+    Exponent notation is refused: Fraction would build 1e1000000 in full."""
     try:
         p, q0, z0 = text.split(",")
+        if "e" in (q0 + z0).lower():
+            raise ValueError("exponent notation is not accepted")
         p = int(p)
         value = Fraction if p == 0 else int
         return NumericPoint(p, value(q0), value(z0))

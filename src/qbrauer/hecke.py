@@ -116,14 +116,10 @@ class HeckeElt:
         r.terms = out
         return r
 
-    def mul_word(self, word: Sequence[int], inverse: bool = False) -> "HeckeElt":
+    def mul_word(self, word: Sequence[int]) -> "HeckeElt":
         out = self
-        if inverse:
-            for i in reversed(word):
-                out = out.mul_gen(i, inverse=True)
-        else:
-            for i in word:
-                out = out.mul_gen(i)
+        for i in word:
+            out = out.mul_gen(i)
         return out
 
     def __mul__(self, other: "HeckeElt") -> "HeckeElt":

@@ -363,6 +363,13 @@ def test_multable_file_format(tmp_path):
     assert data["rows"][row] == [[words.index(t1), "1"]]
 
 
+def test_multable_rows_are_frozen(tmp_path):
+    # the structure constants at n = 4: rows_crc covers the rows text only,
+    # so it does not move when the rule sources (and their digest) change
+    _, data = _stored_table(tmp_path, 4)
+    assert data["rows_crc"] == 1289013277
+
+
 def test_multable_tampered_row_is_rebuilt(tmp_path):
     n = 3
     path, data = _stored_table(tmp_path, n)

@@ -454,3 +454,11 @@ def test_parse_numeric_returns_a_point_or_a_usage_error(text):
     point = _value_or_usage_error(_parse_numeric, text)
     if point is not None:
         assert point.characteristic == int(text.split(",")[0])
+
+
+def test_parse_numeric_refuses_exponent_notation():
+    # Fraction("1e1000") would build a 3 322-bit numerator before any check
+    for text in ("0,1e1000,3", "0,3,2E5", "7,1e2,3"):
+        with pytest.raises(click.UsageError, match="exponent notation"):
+            _parse_numeric(text)
+    assert _parse_numeric("0,3/2,1.5").q0 == Fraction(3, 2)
