@@ -29,7 +29,8 @@ Left multiplication is reduced to right multiplication through the
 anti-involution sigma, which acts on basis words by an exact flip
 (f, d1, w, d2) -> (f, d2, w^{-1}, d1).  Products in the Hecke algebra of
 S_n (the quadratic rule) are expanded by hecke.HeckeElt.mul_gen, also on
-the left, through the anti-automorphism star.
+the left, through the anti-automorphism star; the merge anchor of sand is
+one such product, of inverse letters (Engine._merge_anchor).
 
 The engine memoizes reduce, sand and the right action of each generator on
 each normal word.  Memo values are shared between callers and are never
@@ -205,11 +206,6 @@ class Engine:
         self._rmul_memo: Dict[Tuple[NormalWord, Tuple], AlgebraElt] = {}
         self._steps = 0
         self._inflight = set()
-        # sanity of the distinguished representatives: no left descent in the
-        # window, so T_w T_d concatenations are always reduced
-        for f in range(n // 2 + 1):
-            for d in coset_reps_D(f, n):
-                assert all(m <= 2 * f for m in d.left_descents()), (f, d)
 
     # -- helpers -----------------------------------------------------------------
 
@@ -221,9 +217,6 @@ class Engine:
                 f,
                 word,
             )
-
-    def zero(self) -> AlgebraElt:
-        return AlgebraElt(self.n)
 
     def one(self) -> AlgebraElt:
         return AlgebraElt(self.n, {NormalWord(0, IDENTITY, IDENTITY, IDENTITY): ONE})
@@ -342,15 +335,11 @@ class Engine:
                 return AlgebraElt(
                     n, {NormalWord(f, IDENTITY, IDENTITY, IDENTITY): DELTA}
                 )
-            if v == s(2):
-                # E^f T_2 E_1 = z E^f
-                return AlgebraElt(
-                    n, {NormalWord(f, IDENTITY, IDENTITY, IDENTITY): Z}
-                )
             if 2 * f + 2 <= n and v == seg(2 * f + 1, 1) * seg(2 * f + 2, 2):
                 return self._merge_anchor(f)
             # E^f T_{v''} T_2 E_1 = z E^f T_{v''} when v'' moves only {3..n}
-            # (commute v'' past the outer E_1 factors and contract T_2)
+            # (commute v'' past the outer E_1 factors and contract T_2);
+            # v'' = 1 is the contraction E^f T_2 E_1 = z E^f
             vp = v * s(2)
             if vp.length() < v.length() and vp.supported_in(3, n):
                 return AlgebraElt(n, {
@@ -387,25 +376,17 @@ class Engine:
         """E^f T_{v0} E_1 for v0 = s_{2f+1,1} s_{2f+2,2}, via the recursion
         E^(f+1) = E^f T_{1,2f+1}^{-1} T_{2f+2,2} E_1:
 
-        expanding T_{1,2f+1}^{-1} = (T_{2f} - A)...(T_1 - A) turns the right
-        side into the v0 term plus strictly shorter sandwich words, so the
-        v0 term equals E^(f+1) minus those corrections."""
+        the Hecke product T_{1,2f+1}^{-1} T_{2f+2,2} is T_{v0}, with
+        coefficient 1, plus strictly shorter terms, so the v0 sandwich is
+        E^(f+1) minus the sandwiches of those shorter terms."""
+        v0 = seg(2 * f + 1, 1) * seg(2 * f + 2, 2)
+        # T_{1,2f+1}^{-1} = T_{2f}^{-1} ... T_1^{-1}
+        letters = [(i, True) for i in range(2 * f, 0, -1)]
         pieces = [(ONE, e_power(f + 1, self.n))]
-        tail = seg(2 * f + 2, 2)  # word (2f+1, 2f, ..., 2)
-        full = list(range(2 * f, 0, -1))  # letters of T_{2f+1,1}
-        # iterate over proper subsets: keep[i] False means letter deleted
-        for mask in range(1, 1 << len(full)):
-            coeff = (-A) ** bin(mask).count("1")
-            kept = [
-                full[i] for i in range(len(full)) if not (mask >> i) & 1
-            ]
-            # expand T_kept . T_tail in the Hecke algebra
-            expanded = self._hecke_word_times(
-                [(i, False) for i in kept], tail
-            )
-            for u2, c in expanded.items():
-                self._tick(f, u2)
-                pieces.append((-(coeff * c), self.sand(f, u2)))
+        for u, c in self._hecke_word_times(letters, seg(2 * f + 2, 2)).items():
+            if u != v0:
+                self._tick(f, u)
+                pieces.append((-c, self.sand(f, u)))
         return _lin_comb(self.n, pieces)
 
     # -- right multiplication by a generator ------------------------------------------
@@ -651,16 +632,15 @@ def phi_embed(x: AlgebraElt, n: int) -> AlgebraElt:
     1 -> tilde_E1, T_i -> tilde_E1 T_{i+2}, E_1 -> tilde_E1 E_3."""
     if x.n != n - 2:
         raise AlgebraError(f"phi_embed expects rank {n-2}, got {x.n}")
-    eng = get_engine(n)
-    base = tilde_e1(n)
-    out = eng.zero()
-    e3 = e_index_letters(3)
-    for word, c in x.terms.items():
-        acc = base.scale(c)
-        for g in get_engine(x.n).word_letters(word):
-            acc = eng.apply_letters(acc, e3 if g == E1 else [(g[0], g[1] + 2)])
-        out = out + acc
-    return out
+    eng, small = get_engine(n), get_engine(x.n)
+    base, e3 = tilde_e1(n), e_index_letters(3)
+    return _lin_comb(n, (
+        (c, eng.apply_letters(base, [
+            h for g in small.word_letters(word)
+            for h in (e3 if g == E1 else [(g[0], g[1] + 2)])
+        ]))
+        for word, c in x.terms.items()
+    ))
 
 
 def all_normal_words(n: int) -> List[NormalWord]:

@@ -8,13 +8,14 @@ E^f x_lam T_{d(t)} T_v.  The Jucys-Murphy basis {m_t} is indexed by up-down
 tableaux and is built by the add/remove recursion on the path.  That
 recursion left-multiplies; the lifts are built on sigma(m_t) instead, by
 right products with the reversed letters (sigma is an anti-automorphism
-fixing every generator), and one sigma at the end gives m_t.  The basis is
-sorted by combinatorics.ud_key, which refines the order ud_dominates in
-which the Jucys-Murphy elements are triangular: L_k m_t = c_t(k) m_t plus
-terms m_s with s strictly above t.  check_triangular certifies the diagonal
-and checks each nonzero off-diagonal entry against ud_dominates itself, so
-an entry at a pair the order leaves incomparable fails even above the
-diagonal of the sort.
+fixing every generator), and one sigma at the end gives m_t.  y_element is
+built the same way: this module multiplies no two algebra elements.  The
+basis is sorted by combinatorics.ud_key, which refines the order
+ud_dominates in which the Jucys-Murphy elements are triangular: L_k m_t =
+c_t(k) m_t plus terms m_s with s strictly above t.  check_triangular
+certifies the diagonal and checks each nonzero off-diagonal entry against
+ud_dominates itself, so an entry at a pair the order leaves incomparable
+fails even above the diagonal of the sort.
 
 Reduction algorithm (vector): after multiplying a lifted basis element by a
 generator, drop all words of deficiency > f, group the remaining words by
@@ -87,6 +88,7 @@ from .algebra import (
     NormalWord,
     T,
     Tinv,
+    _lin_comb,
     e_index_letters,
     elt_from_letters,
     get_engine,
@@ -117,7 +119,8 @@ class _MurphySolver:
     stored column is zero at every earlier pivot (there is no Jordan step:
     it may be nonzero at later ones).  Pivots are chosen among longest
     remaining words, which keeps the elimination close to the length
-    grading."""
+    grading; ties are broken by the stored images, as any total order gives
+    the same unique expansion."""
 
     def __init__(self, window: Tuple[int, int]):
         lo, hi = window
@@ -145,7 +148,7 @@ class _MurphySolver:
                 _subtract(combo, pcombo, c)
         if not col:
             raise CellError("dependent Murphy element")
-        pivot = max(col, key=lambda w: (w.length(), w.word()))
+        pivot = max(col, key=lambda w: (w.length(), w.start, w.images))
         inv = ONE / col[pivot]
         col = {w: c * inv for w, c in col.items()}
         combo = {k: c * inv for k, c in combo.items()}
@@ -425,12 +428,11 @@ class CellModule:
             if kind == "add":
                 a_k = 2 * fi + sum(shape[:k])
                 a_km1 = 2 * fi + sum(shape[: k - 1])
-                acc = eng.zero()
-                for j in range(a_km1 + 1, a_k + 1):
-                    letters = [T(x) for x in seg_word(j, i)]
-                    term = eng.apply_letters(sm, reversed(letters))
-                    acc = acc + term.scale(Q ** (a_k - j))
-                sm = acc
+                sm = _lin_comb(self.n, [
+                    (Q ** (a_k - j),
+                     eng.apply_letters(sm, [T(x) for x in reversed(seg_word(j, i))]))
+                    for j in range(a_km1 + 1, a_k + 1)
+                ])
             else:
                 b_k = 2 * fi - 1 + sum(shape[:k])
                 letters = _removal_letters(i, fi, b_k)
@@ -648,14 +650,19 @@ def y_element(f: int, lam, mu, n: int) -> AlgebraElt:
         return eng.apply_letters(base, [T(i) for i in seg_word(a_k, n)])
     if sum(mu) == sum(lam) + 1:
         # addition: mu = lam plus a box in row k
+        if f == 0:
+            raise CellError("adding a box needs deficiency f >= 1")
         k = next(
             r + 1
             for r in range(len(mu))
             if (lam[r] if r < len(lam) else 0) != mu[r]
         )
         b_k = 2 * f - 1 + sum(lam[:k])
-        head = elt_from_letters(_removal_letters(n, f, b_k), n)
-        return eng.mul(head, _lift_x_lambda(n, f - 1, mu, (2 * f - 1, n - 1)))
+        # sigma fixes the lift and every letter, so head . lift is
+        # sigma(lift . the letters of head, reversed)
+        letters = _removal_letters(n, f, b_k)
+        lift = _lift_x_lambda(n, f - 1, mu, (2 * f - 1, n - 1))
+        return eng.sigma(eng.apply_letters(lift, reversed(letters)))
     raise CellError("mu must differ from lam by exactly one box")
 
 

@@ -417,7 +417,8 @@ def row_stabilizer_perms(lam: Partition, start: int = 1) -> List[Perm]:
 def coset_reps_D(f: int, n: int) -> Tuple[Perm, ...]:
     """The distinguished representatives
     s_{2f,i_f} s_{2f-1,j_f} ... s_{2,i_1} s_{1,j_1}
-    with i_1 < ... < i_f and 2k-1 <= j_k < i_k <= n."""
+    with i_1 < ... < i_f and 2k-1 <= j_k < i_k <= n; each is checked to have
+    no left descent above 2f, so T_w T_d is reduced for w in the window."""
     if not (0 <= 2 * f <= n):
         raise CombinatoricsError(f"f={f} out of range for n={n}")
     if f == 0:
@@ -441,6 +442,10 @@ def coset_reps_D(f: int, n: int) -> Tuple[Perm, ...]:
         for k in range(f, 0, -1):
             jk, ik = chosen[k - 1]
             w = w * seg(2 * k, ik) * seg(2 * k - 1, jk)
+        if any(m > 2 * f for m in w.left_descents()):
+            raise CombinatoricsError(
+                f"{w} in D_({f},{n}) has a left descent above {2 * f}"
+            )
         reps.append(w)
     return tuple(reps)
 

@@ -168,12 +168,12 @@ def x_lambda(lam: Partition, window: Window) -> HeckeElt:
 def murphy_x(
     sx: StandardTableau, tx: StandardTableau, window: Window
 ) -> HeckeElt:
-    """x_st = star(T_{d(s)}) x_lam T_{d(t)}."""
+    """x_st = star(T_{d(s)}) x_lam T_{d(t)} = star(x_lam T_{d(s)}) T_{d(t)},
+    by right products: x_lam is fixed by star (the row stabilizer is closed
+    under inverses, which keep the length)."""
     lam_s = tuple(len(r) for r in sx)
     lam_t = tuple(len(r) for r in tx)
     if lam_s != lam_t:
         raise HeckeError("tableaux must share a shape")
     x = x_lambda(lam_s, window)
-    ds, dt = coset_word(sx), coset_word(tx)
-    out = hecke_T(ds.inv(), window) * x
-    return out.mul_word(dt.word())
+    return x.mul_word(coset_word(sx).word()).star().mul_word(coset_word(tx).word())

@@ -43,6 +43,7 @@ from qbrauer.cells import (
     radical_factor_shape,
     v_form_entry_shapes,
 )
+from qbrauer.cli import _relation_pairs
 from qbrauer.coefficients import (
     A,
     DELTA,
@@ -93,27 +94,11 @@ def test_criterion_01_basis_closure():
                 assert set(eng.right_mul_gen(x, g).terms) <= allowed
 
 
-def _relation_pairs(n):
-    pairs = []
-    for i in range(1, n):
-        pairs.append(([T(i), Tinv(i)], []))
-        pairs.append(([Tinv(i), T(i)], []))
-    for i in range(1, n - 1):
-        pairs.append(([T(i), T(i + 1), T(i)], [T(i + 1), T(i), T(i + 1)]))
-    for i in range(1, n):
-        for j in range(i + 2, n):
-            pairs.append(([T(i), T(j)], [T(j), T(i)]))
-    pairs.append(([T(1), E1], [E1, T(1)]))
-    for i in range(3, n):
-        pairs.append(([T(i), E1], [E1, T(i)]))
-    return pairs
-
-
 def test_criterion_02_defining_relations():
     for n in (2, 3, 4, 5):
         eng = get_engine(n)
         words = all_normal_words(n)
-        for left, right in _relation_pairs(n):
+        for _, left, right in _relation_pairs(n):
             for w in words:
                 x = AlgebraElt(n, {w: ONE})
                 assert eng.apply_letters(x, left) == eng.apply_letters(x, right)

@@ -30,8 +30,9 @@ from qbrauer.algebra import (
     sigma,
     tilde_e1,
 )
+from qbrauer.cli import _relation_pairs
 from qbrauer.coefficients import A, DELTA, ONE, Q, QINV, Z, ZERO, ZINV
-from qbrauer.combinatorics import IDENTITY, perm_from_word
+from qbrauer.combinatorics import IDENTITY, coset_reps_D, perm_from_word, seg
 from qbrauer.hecke import hecke_T, hecke_one
 
 
@@ -40,25 +41,6 @@ def rank(n):
     for k in range(2 * n - 1, 0, -2):
         r *= k
     return r
-
-
-def relation_pairs(n):
-    """Pairs of letter sequences that must act identically on the algebra."""
-    pairs = []
-    for i in range(1, n):
-        # quadratic: T_i^2 = (q - q^-1) T_i + 1, checked via inverses
-        pairs.append(([T(i), Tinv(i)], []))
-        pairs.append(([Tinv(i), T(i)], []))
-    for i in range(1, n - 1):
-        pairs.append(([T(i), T(i + 1), T(i)], [T(i + 1), T(i), T(i + 1)]))
-    for i in range(1, n):
-        for j in range(i + 2, n):
-            pairs.append(([T(i), T(j)], [T(j), T(i)]))
-    if n >= 2:
-        pairs.append(([T(1), E1], [E1, T(1)]))
-        for i in range(3, n):
-            pairs.append(([T(i), E1], [E1, T(i)]))
-    return pairs
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
@@ -79,7 +61,7 @@ def test_basis_closure_counts(n):
 def test_defining_relations_regular_representation(n):
     eng = get_engine(n)
     words = all_normal_words(n)
-    for left, right in relation_pairs(n):
+    for _, left, right in _relation_pairs(n):
         for w in words:
             x = AlgebraElt(n, {w: ONE})
             assert eng.apply_letters(x, left) == eng.apply_letters(x, right), (
@@ -208,6 +190,37 @@ def test_e1_conjugate_shift_identity():
         assert e2 == via_letters
         e1 = generator_elt(E1, n)
         assert mul(e1, mul(e2, e1)) == e1
+
+
+def _merge_anchor_by_subsets(n, f):
+    """E^f T_{v0} E_1 with T_{1,2f+1}^{-1} = (T_{2f} - A) ... (T_1 - A)
+    expanded by hand: one Hecke product T_kept T_{2f+2,2} per proper subset
+    of the letters, weighted (-A)^(number of letters dropped)."""
+    eng = get_engine(n)
+    tail = hecke_T(seg(2 * f + 2, 2), (1, n))
+    full = list(range(2 * f, 0, -1))
+    out = e_power(f + 1, n)
+    for mask in range(1, 1 << len(full)):
+        kept = [full[i] for i in range(len(full)) if not (mask >> i) & 1]
+        weight = (-A) ** bin(mask).count("1")
+        product = hecke_T(perm_from_word(kept), (1, n)) * tail
+        for u, c in product.terms.items():
+            out = out - eng.sand(f, u).scale(weight * c)
+    return out
+
+
+@pytest.mark.parametrize("n, f", [(4, 1), (6, 2), (8, 3)])
+def test_merge_anchor_matches_the_subset_expansion(n, f):
+    assert get_engine(n)._merge_anchor(f) == _merge_anchor_by_subsets(n, f)
+
+
+def test_engine_construction_enumerates_no_coset_representatives():
+    # the representatives are checked where coset_reps_D builds them, so a
+    # product that never leaves deficiency 0 enumerates none of them
+    coset_reps_D.cache_clear()
+    x = elt_from_letters([T(1), T(1)], 12)
+    assert coset_reps_D.cache_info().currsize == 0
+    assert x == one_elt(12) + generator_elt(T(1), 12).scale(A)
 
 
 def test_ideal_truncate():

@@ -54,6 +54,7 @@ from qbrauer.combinatorics import (
     Perm,
     branching_list,
     coset_reps_D,
+    coset_word,
     ct_eigenvalue,
     labels,
     partitions,
@@ -101,6 +102,21 @@ def test_murphy_expand_rebuilds_every_group_element():
                 term = murphy_x(s, t, window).scale(c)
                 total = term if total is None else total + term
             assert total == hecke_T(w, window)
+
+
+def test_murphy_x_matches_its_formula():
+    # x_st = T_{d(s)^-1} x_lam T_{d(t)}, multiplied out with HeckeElt.__mul__
+    # (murphy_x itself uses right products and star only); star swaps s, t
+    for window in ((1, 4), (3, 5)):
+        lo, hi = window
+        for lam in partitions(hi - lo + 1):
+            x = x_lambda(lam, window)
+            for s in std_tableaux(lam, lo):
+                left = hecke_T(coset_word(s).inv(), window) * x
+                for t in std_tableaux(lam, lo):
+                    got = murphy_x(s, t, window)
+                    assert got == left * hecke_T(coset_word(t), window)
+                    assert got.star() == murphy_x(t, s, window)
 
 
 # ---------------------------------------------------------------------------
@@ -439,6 +455,11 @@ def test_y_element_rejects_distant_shapes():
         y_element(1, (1,), (1,), 3)
 
 
+def test_y_element_addition_needs_a_positive_deficiency():
+    with pytest.raises(CellError, match="f >= 1"):
+        y_element(0, (2,), (3,), 2)
+
+
 # The path recursion written as left products, one left_mul_gen per letter
 # and E_l as the product e_index(l, n) . m.  The module builds the same
 # elements on sigma(m) by right products.
@@ -467,7 +488,7 @@ def _m_elt_by_left_products(n, t):
         if kind == "add":
             a_k = 2 * fi + sum(shape[:k])
             a_km1 = 2 * fi + sum(shape[: k - 1])
-            acc = eng.zero()
+            acc = AlgebraElt(n)
             for j in range(a_km1 + 1, a_k + 1):
                 term = _lmul_letters(eng, [T(x) for x in seg_word(j, i)], m)
                 acc = acc + term.scale(Q ** (a_k - j))

@@ -84,6 +84,8 @@ def test_coset_reps_counts():
             expect = factorial(n) // (2**f * factorial(n - 2 * f) * factorial(f))
             assert len(D) == expect
             assert len(set(D)) == len(D)
+            # no left descent in the window, so T_w T_d is always reduced
+            assert all(m <= 2 * f for d in D for m in d.left_descents())
 
 
 def test_rank_identity():
