@@ -620,13 +620,6 @@ def jm_recursive(i: int, n: int) -> AlgebraElt:
     return out
 
 
-def ideal_truncate(x: AlgebraElt, f: int) -> AlgebraElt:
-    """Drop all words with deficiency >= f (image modulo that ideal)."""
-    r = AlgebraElt(x.n)
-    r.terms = {w: c for w, c in x.terms.items() if w.f < f}
-    return r
-
-
 def phi_embed(x: AlgebraElt, n: int) -> AlgebraElt:
     """Embedding of the rank n-2 algebra into tilde_E1 . B_n . tilde_E1:
     1 -> tilde_E1, T_i -> tilde_E1 T_{i+2}, E_1 -> tilde_E1 E_3."""

@@ -614,18 +614,6 @@ def cell_module(n: int, f: int, lam) -> CellModule:
     return _modules[key]
 
 
-def cell_basis(n: int, f: int, lam) -> dict:
-    """Both bases of C(f, lam) with the transition matrix between them."""
-    mod = cell_module(n, f, lam)
-    return {
-        "coset": mod.index,
-        "jm": mod.ud,
-        "transition": mod.transition(),
-        "transition_inv": mod.transition_inv(),
-        "dim": mod.dim,
-    }
-
-
 # ---------------------------------------------------------------------------
 # y elements
 # ---------------------------------------------------------------------------
@@ -746,10 +734,6 @@ class VLayer:
                 base.append(row[ref])
             self._gram = _gram_from_base(self.act, base, self._words())
         return self._gram
-
-
-def v_form_gram(n: int) -> list:
-    return VLayer(n).gram()
 
 
 def coeff_is_z_free(c: Coeff) -> bool:

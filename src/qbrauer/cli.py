@@ -1,11 +1,17 @@
 """Command-line front end: reproducible JSON reports for relation checks,
 Gram matrices, Jucys-Murphy spectra, branching filtrations, semisimplicity
-scans, products, and basis counts."""
+scans, products, and basis counts.
 
+The command line is parsed by the standard library's argparse.  Each
+command returns its exit code: 0 success, 1 a mathematical check failed,
+2 usage error, 3 environment or cache error.  A usage error, whether the
+parser or a command finds it, prints the command's usage line and
+``qbrauer COMMAND: error: MESSAGE`` to stderr.
+"""
+
+import argparse
 import json
-from fractions import Fraction
-
-import click
+import sys
 
 from . import __version__
 from .algebra import (
@@ -48,11 +54,38 @@ EXIT_MATH = 1
 EXIT_USAGE = 2
 EXIT_ENV = 3
 
+# the bound on |gram --z-exp|: entries at z = q^a span about |a| powers of q,
+# and the polynomial gcd sizes dense rows by that span (a row of 10^20 terms
+# cannot even be allocated)
+MAX_Z_EXP = 10**6
+
+
+class UsageError(ValueError):
+    """Bad command-line input: the command ends with exit code 2."""
+
+
+class _Exit(Exception):
+    """Ends a run with an exit code; main exits with it or returns it."""
+
+    def __init__(self, code):
+        super().__init__(code)
+        self.code = code
+
+
+class _Parser(argparse.ArgumentParser):
+    """argparse reports a usage error (code 2) or help (code 0) through
+    exit; raising instead lets main return the code."""
+
+    def exit(self, status=0, message=None):
+        if message:
+            sys.stderr.write(message)
+        raise _Exit(status)
+
 
 def _parse_partition(text):
     text = text.strip()
     if not (text.startswith("[") and text.endswith("]")):
-        raise click.UsageError(
+        raise UsageError(
             f"partition must be a bracketed comma list like [3,1,1], got {text!r}"
         )
     inner = text[1:-1].strip()
@@ -61,11 +94,9 @@ def _parse_partition(text):
     try:
         parts = tuple(int(p) for p in inner.split(","))
     except ValueError:
-        raise click.UsageError(f"partition entries must be integers: {text!r}")
+        raise UsageError(f"partition entries must be integers: {text!r}")
     if any(p <= 0 for p in parts) or list(parts) != sorted(parts, reverse=True):
-        raise click.UsageError(
-            f"partition must be weakly decreasing and positive: {text!r}"
-        )
+        raise UsageError(f"partition must be weakly decreasing and positive: {text!r}")
     return parts
 
 
@@ -77,17 +108,22 @@ def _parse_numeric(text):
         if "e" in (q0 + z0).lower():
             raise ValueError("exponent notation is not accepted")
         p = int(p)
-        value = Fraction if p == 0 else int
-        return NumericPoint(p, value(q0), value(z0))
+        if p == 0:
+            from fractions import Fraction
+
+            q0, z0 = Fraction(q0), Fraction(z0)
+        else:
+            q0, z0 = int(q0), int(z0)
+        return NumericPoint(p, q0, z0)
     except ZeroDivisionError:
-        raise click.UsageError(f"bad numeric point {text!r}: zero denominator")
+        raise UsageError(f"bad numeric point {text!r}: zero denominator")
     except (ValueError, CoefficientError) as exc:
-        raise click.UsageError(f"bad numeric point {text!r}: {exc}")
+        raise UsageError(f"bad numeric point {text!r}: {exc}")
 
 
 def _spec_from_flags(z_exp, numeric):
     if z_exp is not None and numeric is not None:
-        raise click.UsageError("--z-exp and --numeric are mutually exclusive")
+        raise UsageError("--z-exp and --numeric are mutually exclusive")
     if z_exp is not None:
         return IntegerExponent(z_exp)
     if numeric is not None:
@@ -97,9 +133,7 @@ def _spec_from_flags(z_exp, numeric):
 
 def _check_label_usage(n, f, lam):
     if (f, tuple(lam)) not in labels(n):
-        raise click.UsageError(
-            f"(f={f}, lambda={list(lam)}) is not a cell label at n={n}"
-        )
+        raise UsageError(f"(f={f}, lambda={list(lam)}) is not a cell label at n={n}")
 
 
 def _config(n, **extra):
@@ -108,32 +142,25 @@ def _config(n, **extra):
     return cfg
 
 
-def _emit(ctx, payload, exit_code=EXIT_OK):
+def _environment_error(exc):
+    sys.stderr.write(f"environment error: {exc}\n")
+    return EXIT_ENV
+
+
+def _emit(args, payload, exit_code=EXIT_OK):
+    """Print the report (or write it to --output); returns the exit code."""
     payload["format_version"] = FORMAT_VERSION
     text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
-    output = ctx.obj.get("output") if ctx.obj else None
-    if output:
+    if args.output:
         try:
-            with open(output, "w") as fh:
+            with open(args.output, "w") as fh:
                 fh.write(text)
         except OSError as exc:
-            click.echo(f"environment error: {exc}", err=True)
-            ctx.exit(EXIT_ENV)
+            return _environment_error(exc)
     else:
-        click.echo(text, nl=False)
-    ctx.exit(exit_code)
-
-
-@click.group()
-@click.option("--cache-dir", default=None, help="override the table cache directory")
-@click.option("--output", default=None, help="write the JSON report to a file")
-@click.pass_context
-def main(ctx, cache_dir, output):
-    """Exact computations in the two-parameter deformation of the Brauer
-    algebra."""
-    ctx.ensure_object(dict)
-    ctx.obj["output"] = output
-    ctx.obj["cache_dir"] = cache_dir
+        sys.stdout.write(text)
+        sys.stdout.flush()
+    return exit_code
 
 
 def _relation_pairs(n):
@@ -158,17 +185,14 @@ def _relation_pairs(n):
     return pairs
 
 
-@main.command("verify-relations")
-@click.option("--n", "n", type=click.IntRange(min=2, max=5), required=True)
-@click.pass_context
-def verify_relations(ctx, n):
+def verify_relations(args):
     """Check the defining relations in the regular representation, on the
     generator-action table (loaded from the cache, or built and cached)."""
+    n = args.n
     try:
-        table = MulTable.load_or_build(n, ctx.obj["cache_dir"])
+        table = MulTable.load_or_build(n, args.cache_dir)
     except AlgebraError as exc:
-        click.echo(f"environment error: {exc}", err=True)
-        ctx.exit(EXIT_ENV)
+        return _environment_error(exc)
     words = table.words
     failures = []
     checked = 0
@@ -203,31 +227,23 @@ def verify_relations(ctx, n):
         "failures": failures,
         "ok": not failures and len(words) == brauer_dimension(n),
     }
-    _emit(ctx, payload, EXIT_OK if payload["ok"] else EXIT_MATH)
+    return _emit(args, payload, EXIT_OK if payload["ok"] else EXIT_MATH)
 
 
-@main.command("gram")
-@click.option("--n", "n", type=click.IntRange(min=1), required=True)
-@click.option("--f", "f", type=int, required=True)
-@click.option("--lambda", "lam", required=True)
-@click.option("--z-exp", type=int, default=None, help="specialize z = q^a")
-@click.option(
-    "--numeric",
-    default=None,
-    help="numeric point p,q0,z0: p prime, or p=0 and rational q0, z0",
-)
-@click.pass_context
-def gram(ctx, n, f, lam, z_exp, numeric):
+def gram(args):
     """Gram matrix and determinant of a cell module."""
-    lam = _parse_partition(lam)
+    n, f = args.n, args.f
+    lam = _parse_partition(args.lam)
     _check_label_usage(n, f, lam)
-    spec = _spec_from_flags(z_exp, numeric)
+    spec = _spec_from_flags(args.z_exp, args.numeric)
     mod = cell_module(n, f, lam)
     g = specialized_gram(mod, spec)
     det = mat_det(g)
     payload = {
         "command": "gram",
-        "config": _config(n, f=f, **{"lambda": list(lam)}, z_exp=z_exp, numeric=numeric),
+        "config": _config(
+            n, f=f, **{"lambda": list(lam)}, z_exp=args.z_exp, numeric=args.numeric
+        ),
         "basis": [
             {"tableau": str(t), "coset": list(v.word())} for t, v in mod.index
         ],
@@ -235,18 +251,14 @@ def gram(ctx, n, f, lam, z_exp, numeric):
         "determinant": str(det),
         "determinant_is_zero": not det,
     }
-    _emit(ctx, payload)
+    return _emit(args, payload)
 
 
-@main.command("jm-spectrum")
-@click.option("--n", "n", type=click.IntRange(min=1), required=True)
-@click.option("--f", "f", type=int, required=True)
-@click.option("--lambda", "lam", required=True)
-@click.pass_context
-def jm_spectrum(ctx, n, f, lam):
+def jm_spectrum(args):
     """Eigenvalue spectra and triangularity certificates of the commuting
     family on a cell module."""
-    lam = _parse_partition(lam)
+    n, f = args.n, args.f
+    lam = _parse_partition(args.lam)
     _check_label_usage(n, f, lam)
     mod = cell_module(n, f, lam)
     spectra = {}
@@ -262,17 +274,13 @@ def jm_spectrum(ctx, n, f, lam):
         "spectra": spectra,
         "triangular_ok": ok,
     }
-    _emit(ctx, payload, EXIT_OK if ok else EXIT_MATH)
+    return _emit(args, payload, EXIT_OK if ok else EXIT_MATH)
 
 
-@main.command("branching")
-@click.option("--n", "n", type=click.IntRange(min=1), required=True)
-@click.option("--f", "f", type=int, required=True)
-@click.option("--lambda", "lam", required=True)
-@click.pass_context
-def branching(ctx, n, f, lam):
+def branching(args):
     """Restriction filtration of a cell module with factor identification."""
-    lam = _parse_partition(lam)
+    n, f = args.n, args.f
+    lam = _parse_partition(args.lam)
     _check_label_usage(n, f, lam)
     r = cell_module(n, f, lam).filtration_check()
     payload = {
@@ -280,21 +288,16 @@ def branching(ctx, n, f, lam):
         "config": _config(n, f=f, **{"lambda": list(lam)}),
         "report": r,
     }
-    _emit(ctx, payload, EXIT_OK if r["ok"] else EXIT_MATH)
+    return _emit(args, payload, EXIT_OK if r["ok"] else EXIT_MATH)
 
 
-@main.command("scan")
-@click.option("--n", "n", type=click.IntRange(min=2), required=True)
-@click.option("--from", "a_min", type=int, default=None)
-@click.option("--to", "a_max", type=int, default=None)
-@click.option("--seed", type=int, default=DEFAULT_SEED, show_default=True)
-@click.pass_context
-def scan_cmd(ctx, n, a_min, a_max, seed):
+def scan_cmd(args):
     """Exponents a for which some Gram determinant vanishes at z = q^a."""
-    lo = a_min if a_min is not None else 2 - 2 * n
-    hi = a_max if a_max is not None else n
+    n, seed = args.n, args.seed
+    lo = args.a_min if args.a_min is not None else 2 - 2 * n
+    hi = args.a_max if args.a_max is not None else n
     if lo > hi:
-        raise click.UsageError(f"empty exponent range: --from {lo} exceeds --to {hi}")
+        raise UsageError(f"empty exponent range: --from {lo} exceeds --to {hi}")
     found = scan_exponents(n, lo, hi, seed=seed)
     predicted = {a for a in bad_exponent_set(n) if lo <= a <= hi}
     payload = {
@@ -304,21 +307,13 @@ def scan_cmd(ctx, n, a_min, a_max, seed):
         "predicted_bad_exponents": sorted(predicted),
         "ok": found == predicted,
     }
-    _emit(ctx, payload, EXIT_OK if payload["ok"] else EXIT_MATH)
+    return _emit(args, payload, EXIT_OK if payload["ok"] else EXIT_MATH)
 
 
-@main.command("semisimple")
-@click.option("--n", "n", type=click.IntRange(min=2), required=True)
-@click.option("--z-exp", type=int, default=None, help="relation z = q^a, generic q")
-@click.option(
-    "--numeric",
-    default=None,
-    help="numeric point p,q0,z0: p prime, or p=0 and rational q0, z0",
-)
-@click.pass_context
-def semisimple_cmd(ctx, n, z_exp, numeric):
+def semisimple_cmd(args):
     """Semisimplicity verdict, by criterion and brute-force determinants."""
-    spec = _spec_from_flags(z_exp, numeric)
+    n, numeric = args.n, args.numeric
+    spec = _spec_from_flags(args.z_exp, numeric)
     if spec is None:
         payload = {
             "command": "semisimple",
@@ -326,7 +321,7 @@ def semisimple_cmd(ctx, n, z_exp, numeric):
             "verdict": "semisimple",
             "detail": "generic parameters: no relation, infinite quantum characteristic",
         }
-        _emit(ctx, payload)
+        return _emit(args, payload)
     if isinstance(spec, IntegerExponent):
         a = spec.a
         predicted = criterion(n, float("inf"), a)
@@ -340,19 +335,19 @@ def semisimple_cmd(ctx, n, z_exp, numeric):
             "verdict": "semisimple" if observed else "not semisimple",
             "ok": predicted == observed,
         }
-        _emit(ctx, payload, EXIT_OK if payload["ok"] else EXIT_MATH)
+        return _emit(args, payload, EXIT_OK if payload["ok"] else EXIT_MATH)
     try:
         report = brute_semisimple(n, spec)
     except SemisimpleError as exc:
-        click.echo(f"mathematical check failed: {exc}", err=True)
-        ctx.exit(EXIT_MATH)
+        sys.stderr.write(f"mathematical check failed: {exc}\n")
+        return EXIT_MATH
     payload = {
         "command": "semisimple",
         "config": _config(n, z_exp=None, numeric=numeric),
         "report": report,
         "ok": report["observed"] == report["predicted"],
     }
-    _emit(ctx, payload, EXIT_OK if payload["ok"] else EXIT_MATH)
+    return _emit(args, payload, EXIT_OK if payload["ok"] else EXIT_MATH)
 
 
 def _parse_letters(text, n):
@@ -367,7 +362,7 @@ def _parse_letters(text, n):
         elif tok == "1":
             continue
         else:
-            raise click.UsageError(f"unknown generator {tok!r}")
+            raise UsageError(f"unknown generator {tok!r}")
     return letters
 
 
@@ -375,22 +370,18 @@ def _parse_gen_index(text, n):
     try:
         i = int(text)
     except ValueError:
-        raise click.UsageError(f"bad generator index {text!r}")
+        raise UsageError(f"bad generator index {text!r}")
     if not 1 <= i <= n - 1:
-        raise click.UsageError(f"generator index {i} out of range for n={n}")
+        raise UsageError(f"generator index {i} out of range for n={n}")
     return i
 
 
-@main.command("mul")
-@click.option("--n", "n", type=click.IntRange(min=2), required=True)
-@click.argument("left")
-@click.argument("right")
-@click.pass_context
-def mul_cmd(ctx, n, left, right):
+def mul_cmd(args):
     """Multiply two products of generators (e.g. "T1 E1" "Tinv2 T1") and
     print the normal form."""
-    a = elt_from_letters(_parse_letters(left, n), n)
-    b = elt_from_letters(_parse_letters(right, n), n)
+    n = args.n
+    a = elt_from_letters(_parse_letters(args.left, n), n)
+    b = elt_from_letters(_parse_letters(args.right, n), n)
     prod = algebra_mul(a, b)
     terms = [
         {"f": f, "d1": list(d1), "w": list(w), "d2": list(d2), "coeff": str(c)}
@@ -398,18 +389,16 @@ def mul_cmd(ctx, n, left, right):
     ]
     payload = {
         "command": "mul",
-        "config": _config(n, left=left, right=right),
+        "config": _config(n, left=args.left, right=args.right),
         "terms": terms,
         "term_count": len(terms),
     }
-    _emit(ctx, payload)
+    return _emit(args, payload)
 
 
-@main.command("basis-count")
-@click.option("--n", "n", type=click.IntRange(min=2, max=8), required=True)
-@click.pass_context
-def basis_count(ctx, n):
+def basis_count(args):
     """Number of normal words, total and per deficiency."""
+    n = args.n
     by_f = {str(f): 0 for f in range(n // 2 + 1)}
     words = all_normal_words(n)
     for w in words:
@@ -422,7 +411,97 @@ def basis_count(ctx, n):
         "by_deficiency": by_f,
         "ok": len(words) == brauer_dimension(n),
     }
-    _emit(ctx, payload, EXIT_OK if payload["ok"] else EXIT_MATH)
+    return _emit(args, payload, EXIT_OK if payload["ok"] else EXIT_MATH)
+
+
+def _int_in(lo, hi=None):
+    """argparse type: an integer at least lo, and at most hi when given; its
+    ``bounds`` attribute reads like 2<=x<=5."""
+    bounds = f"{lo}<=x" + ("" if hi is None else f"<={hi}")
+
+    def parse(text):
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"{text!r} is not an integer")
+        if value < lo or (hi is not None and value > hi):
+            raise argparse.ArgumentTypeError(f"{value} is not in the range {bounds}")
+        return value
+
+    parse.bounds = bounds
+    return parse
+
+
+def _parser():
+    top = _Parser(
+        prog="qbrauer",
+        description="Exact computations in the two-parameter deformation of "
+        "the Brauer algebra.",
+        allow_abbrev=False,
+    )
+    top.add_argument("--cache-dir", default=None, help="override the table cache directory")
+    top.add_argument("--output", default=None, help="write the JSON report to a file")
+    commands = top.add_subparsers(metavar="COMMAND", dest="command", required=True)
+
+    def command(name, run, n_min, n_max=None):
+        doc = " ".join(run.__doc__.split())
+        sub = commands.add_parser(name, help=doc, description=doc, allow_abbrev=False)
+        sub.set_defaults(run=run, parser=sub)
+        rank = _int_in(n_min, n_max)
+        sub.add_argument("--n", type=rank, required=True, help=rank.bounds)
+        return sub
+
+    def label(sub):
+        sub.add_argument("--f", type=int, required=True)
+        sub.add_argument("--lambda", dest="lam", required=True)
+        return sub
+
+    numeric_help = "numeric point p,q0,z0: p prime, or p=0 and rational q0, z0"
+
+    command("verify-relations", verify_relations, 2, 5)
+
+    sub = label(command("gram", gram, 1))
+    z_exp = _int_in(-MAX_Z_EXP, MAX_Z_EXP)
+    sub.add_argument(
+        "--z-exp", type=z_exp, default=None, help=f"specialize z = q^a, {z_exp.bounds}"
+    )
+    sub.add_argument("--numeric", default=None, help=numeric_help)
+
+    label(command("jm-spectrum", jm_spectrum, 1))
+    label(command("branching", branching, 1))
+
+    sub = command("scan", scan_cmd, 2)
+    sub.add_argument("--from", dest="a_min", type=int, default=None)
+    sub.add_argument("--to", dest="a_max", type=int, default=None)
+    sub.add_argument("--seed", type=int, default=DEFAULT_SEED, help="default: %(default)s")
+
+    sub = command("semisimple", semisimple_cmd, 2)
+    sub.add_argument("--z-exp", type=int, default=None, help="relation z = q^a, generic q")
+    sub.add_argument("--numeric", default=None, help=numeric_help)
+
+    sub = command("mul", mul_cmd, 2)
+    sub.add_argument("left", metavar="LEFT")
+    sub.add_argument("right", metavar="RIGHT")
+
+    command("basis-count", basis_count, 2, 8)
+    return top
+
+
+def main(argv=None, standalone_mode=True):
+    """Run one command on argv (default sys.argv[1:]).  Exits with its exit
+    code, or with standalone_mode false returns it, usage errors and help
+    included."""
+    try:
+        args = _parser().parse_args(argv)
+        try:
+            code = args.run(args)
+        except UsageError as exc:
+            args.parser.error(str(exc))
+    except _Exit as exc:
+        code = exc.code
+    if standalone_mode:
+        sys.exit(code)
+    return code
 
 
 if __name__ == "__main__":

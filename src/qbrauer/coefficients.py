@@ -32,10 +32,11 @@ sum is 0.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd as _igcd
-from typing import Union
+from typing import TYPE_CHECKING, NamedTuple, Union
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 
 class CoefficientError(ArithmeticError):
@@ -570,8 +571,7 @@ DELTA = delta()
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class IntegerExponent:
+class IntegerExponent(NamedTuple):
     """The substitution z -> q^a."""
 
     a: int
@@ -695,29 +695,36 @@ _DELTA_ZERO = (
 )
 
 
-@dataclass(frozen=True)
-class NumericPoint:
-    """Evaluation at a concrete point of a field of characteristic 0 or p."""
-
+class _Point(NamedTuple):
     characteristic: int
     q0: Union[int, Fraction]
     z0: Union[int, Fraction]
 
-    def __post_init__(self):
-        p = self.characteristic
+
+class NumericPoint(_Point):
+    """Evaluation at a concrete point of a field of characteristic 0 or p:
+    q0 and z0 are ints, or at p = 0 also Fractions."""
+
+    __slots__ = ()
+
+    def __new__(cls, characteristic: int, q0, z0):
+        p = characteristic
         if p == 0:
-            q0, z0 = Fraction(self.q0), Fraction(self.z0)
+            from fractions import Fraction
+
+            qv, zv = Fraction(q0), Fraction(z0)
         elif is_prime(p):
-            q0, z0 = Fp(self.q0, p), Fp(self.z0, p)
+            qv, zv = Fp(q0, p), Fp(z0, p)
         else:
             raise CoefficientError(f"characteristic {p} must be 0 or a prime")
-        for name, v in (("q0", q0), ("z0", z0)):
+        for name, v in (("q0", qv), ("z0", zv)):
             if not v:
                 raise CoefficientError(f"{name} must be invertible")
-        if not q0 - 1 / q0:
+        if not qv - 1 / qv:
             raise CoefficientError(_Q0_POLE)
-        if not z0 - 1 / z0:
+        if not zv - 1 / zv:
             raise CoefficientError(_DELTA_ZERO)
+        return super().__new__(cls, p, q0, z0)
 
 
 Specialization = Union[IntegerExponent, NumericPoint]
@@ -726,6 +733,8 @@ Specialization = Union[IntegerExponent, NumericPoint]
 def _eval_point(a: Terms, point: NumericPoint):
     p = point.characteristic
     if p == 0:
+        from fractions import Fraction
+
         q0, z0 = Fraction(point.q0), Fraction(point.z0)
         return sum(
             (c * q0**i * z0**j for (i, j), c in a.items()), start=Fraction(0)
@@ -772,13 +781,14 @@ def classical_limit(c: Coeff, a: int) -> Fraction:
     den = sum(spec.den.values())
     if not den:
         raise PoleError(f"pole at q=1 for z=q^{a}")
+    from fractions import Fraction
+
     return Fraction(sum(spec.num.values()), den)
 
 
 def quantum_characteristic(char: int, q0) -> Union[int, float]:
     """Minimal e >= 1 with 1 + q0^2 + ... + q0^(2e-2) = 0, or infinity."""
     if char == 0:
-        q0 = Fraction(q0)
         if q0 == 0:
             raise CoefficientError("q0 must be invertible")
         # over Q the only roots of unity are +-1; the sum is then e, never 0

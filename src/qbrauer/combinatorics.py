@@ -386,10 +386,6 @@ def coset_word(t: StandardTableau) -> Perm:
     return Perm(images, start)
 
 
-def apply_to_tableau(t: StandardTableau, w: Perm) -> StandardTableau:
-    return tuple(tuple(w(v) for v in row) for row in t)
-
-
 def row_stabilizer_perms(lam: Partition, start: int = 1) -> List[Perm]:
     """All elements of the Young subgroup S_lam (row stabilizer of t^lam)."""
     from itertools import permutations as iperm
@@ -448,15 +444,6 @@ def coset_reps_D(f: int, n: int) -> Tuple[Perm, ...]:
             )
         reps.append(w)
     return tuple(reps)
-
-
-def pattern_word(f: int, chosen: Sequence[Tuple[int, int]]) -> Tuple[int, ...]:
-    """Generator word of the representative for parameter list [(j_k, i_k)]."""
-    w: Tuple[int, ...] = ()
-    for k in range(len(chosen), 0, -1):
-        jk, ik = chosen[k - 1]
-        w += seg_word(2 * k, ik) + seg_word(2 * k - 1, jk)
-    return w
 
 
 def d_config(f: int, d: Perm) -> frozenset:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Dict, Sequence, Tuple
 
-from .coefficients import A, Coeff, ONE, Q, ZERO, add_term
+from .coefficients import A, Coeff, Q, ZERO, add_term
 from .combinatorics import (
     IDENTITY,
     Partition,
@@ -122,14 +122,6 @@ class HeckeElt:
             out = out.mul_gen(i)
         return out
 
-    def __mul__(self, other: "HeckeElt") -> "HeckeElt":
-        self._check(other)
-        result = HeckeElt(self.window)
-        for v, c in other.terms.items():
-            piece = self.scale(c).mul_word(v.word())
-            result = result + piece
-        return result
-
     # -- structural maps -----------------------------------------------------------
 
     def star(self) -> "HeckeElt":
@@ -143,14 +135,6 @@ class HeckeElt:
 
     def coeff(self, w: Perm) -> Coeff:
         return self.terms.get(w, ZERO)
-
-
-def hecke_one(window: Window) -> HeckeElt:
-    return HeckeElt(window, {IDENTITY: ONE})
-
-
-def hecke_T(w: Perm, window: Window) -> HeckeElt:
-    return HeckeElt(window, {w: ONE})
 
 
 def x_lambda(lam: Partition, window: Window) -> HeckeElt:

@@ -21,7 +21,6 @@ from qbrauer.algebra import (
     elt_from_letters,
     generator_elt,
     get_engine,
-    ideal_truncate,
     jm,
     jm_recursive,
     mul,
@@ -33,7 +32,7 @@ from qbrauer.algebra import (
 from qbrauer.cli import _relation_pairs
 from qbrauer.coefficients import A, DELTA, ONE, Q, QINV, Z, ZERO, ZINV
 from qbrauer.combinatorics import IDENTITY, coset_reps_D, perm_from_word, seg
-from qbrauer.hecke import hecke_T, hecke_one
+from qbrauer.hecke import HeckeElt
 
 
 def rank(n):
@@ -197,13 +196,13 @@ def _merge_anchor_by_subsets(n, f):
     expanded by hand: one Hecke product T_kept T_{2f+2,2} per proper subset
     of the letters, weighted (-A)^(number of letters dropped)."""
     eng = get_engine(n)
-    tail = hecke_T(seg(2 * f + 2, 2), (1, n))
+    tail = seg(2 * f + 2, 2).word()
     full = list(range(2 * f, 0, -1))
     out = e_power(f + 1, n)
     for mask in range(1, 1 << len(full)):
         kept = [full[i] for i in range(len(full)) if not (mask >> i) & 1]
         weight = (-A) ** bin(mask).count("1")
-        product = hecke_T(perm_from_word(kept), (1, n)) * tail
+        product = HeckeElt((1, n), {perm_from_word(kept): ONE}).mul_word(tail)
         for u, c in product.terms.items():
             out = out - eng.sand(f, u).scale(weight * c)
     return out
@@ -221,6 +220,11 @@ def test_engine_construction_enumerates_no_coset_representatives():
     x = elt_from_letters([T(1), T(1)], 12)
     assert coset_reps_D.cache_info().currsize == 0
     assert x == one_elt(12) + generator_elt(T(1), 12).scale(A)
+
+
+def ideal_truncate(x, f):
+    """Drop all words with deficiency >= f (image modulo that ideal)."""
+    return AlgebraElt(x.n, {w: c for w, c in x.terms.items() if w.f < f})
 
 
 def test_ideal_truncate():
@@ -255,7 +259,6 @@ def test_hecke_subalgebra_agreement(n):
     from itertools import permutations
 
     from qbrauer.combinatorics import Perm
-    from qbrauer.hecke import HeckeElt
 
     win = (1, n)
     perms = [Perm(list(p)) for p in permutations(range(1, n + 1))]
@@ -264,9 +267,7 @@ def test_hecke_subalgebra_agreement(n):
         [(u, v) for u in perms for v in perms], 30
     )
     for u, v in sample:
-        ha = HeckeElt(win, {u: ONE})
-        hb = HeckeElt(win, {v: ONE})
-        hprod = ha * hb
+        hprod = HeckeElt(win, {u: ONE}).mul_word(v.word())
         xa = AlgebraElt(n, {NormalWord(0, IDENTITY, u, IDENTITY): ONE})
         xb = AlgebraElt(n, {NormalWord(0, IDENTITY, v, IDENTITY): ONE})
         xprod = mul(xa, xb)

@@ -5,6 +5,7 @@ radicals at special parameter values."""
 from itertools import permutations
 
 import pytest
+from conftest import hecke_T, hecke_product
 
 from qbrauer.algebra import (
     E1,
@@ -29,14 +30,12 @@ from qbrauer.cells import (
     VLayer,
     admissible,
     admissible_exponent,
-    cell_basis,
     cell_module,
     murphy_expand,
     radical_dim,
     radical_factor_shape,
     specialized_gram,
     v_form_entry_shapes,
-    v_form_gram,
     y_element,
 )
 from qbrauer.coefficients import (
@@ -64,7 +63,7 @@ from qbrauer.combinatorics import (
     ud_key,
     updown_tableaux,
 )
-from qbrauer.hecke import hecke_T, murphy_x, x_lambda
+from qbrauer.hecke import murphy_x, x_lambda
 from qbrauer.linalg import mat_det, mat_mul, mat_rank
 
 
@@ -105,17 +104,17 @@ def test_murphy_expand_rebuilds_every_group_element():
 
 
 def test_murphy_x_matches_its_formula():
-    # x_st = T_{d(s)^-1} x_lam T_{d(t)}, multiplied out with HeckeElt.__mul__
+    # x_st = T_{d(s)^-1} x_lam T_{d(t)}, multiplied out term by term
     # (murphy_x itself uses right products and star only); star swaps s, t
     for window in ((1, 4), (3, 5)):
         lo, hi = window
         for lam in partitions(hi - lo + 1):
             x = x_lambda(lam, window)
             for s in std_tableaux(lam, lo):
-                left = hecke_T(coset_word(s).inv(), window) * x
+                left = hecke_product(hecke_T(coset_word(s).inv(), window), x)
                 for t in std_tableaux(lam, lo):
                     got = murphy_x(s, t, window)
-                    assert got == left * hecke_T(coset_word(t), window)
+                    assert got == hecke_product(left, hecke_T(coset_word(t), window))
                     assert got.star() == murphy_x(t, s, window)
 
 
@@ -133,13 +132,13 @@ def test_dimensions_match_updown_count():
 
 
 def test_cell_basis_shape():
-    b = cell_basis(3, 1, (1,))
-    assert b["dim"] == 3
-    assert len(b["coset"]) == 3
-    assert len(b["jm"]) == 3
-    assert len(b["transition"]) == 3
+    m = cell_module(3, 1, (1,))
+    assert m.dim == 3
+    assert len(m.index) == 3
+    assert len(m.ud) == 3
+    assert len(m.transition()) == 3
     ident = [[ONE if i == j else ZERO for j in range(3)] for i in range(3)]
-    assert mat_mul(b["transition"], b["transition_inv"]) == ident
+    assert mat_mul(m.transition(), m.transition_inv()) == ident
 
 
 # ---------------------------------------------------------------------------
@@ -604,8 +603,8 @@ def test_v_form_entry_shapes():
 
 def test_v_form_gram_dimensions():
     # dimension = (2n-3)!! * ... : count of deficiency-one normal words
-    assert len(v_form_gram(2)) == 1
-    assert len(v_form_gram(3)) == 3
+    assert len(VLayer(2).gram()) == 1
+    assert len(VLayer(3).gram()) == 3
 
 
 # ---------------------------------------------------------------------------

@@ -1,21 +1,20 @@
 """Tests for the command-line interface: JSON structure, exit codes,
 determinism, and the documented example outputs."""
 
+import io
 import json
 import os
+import subprocess
+import sys
+from contextlib import redirect_stdout
 from fractions import Fraction
 
-import click
 import pytest
-from click.testing import CliRunner
+from conftest import run_cli as run
 from hypothesis import given, settings, strategies as st
 
 from qbrauer.algebra import E1, T, Tinv
-from qbrauer.cli import _parse_letters, _parse_numeric, _parse_partition, main
-
-
-def run(*args):
-    return CliRunner().invoke(main, list(args))
+from qbrauer.cli import UsageError, _parse_letters, _parse_numeric, _parse_partition
 
 
 def run_json(*args, expect_exit=0):
@@ -291,18 +290,26 @@ def _replayed_failures(data, n):
     return failures
 
 
-def test_verify_relations_reports_the_failures_of_a_trusted_table(tmp_path):
+def _plant_wrong_row(cache_dir, n):
+    """Build the rank-n table in cache_dir, then overwrite its first row with
+    a wrong one under a valid checksum and the current rules, so it is
+    trusted as is; returns the planted table data."""
     import zlib
 
-    n = 3
-    run("--cache-dir", str(tmp_path), "verify-relations", "--n", str(n))
-    (path,) = _tables(tmp_path)
+    run("--cache-dir", str(cache_dir), "verify-relations", "--n", str(n))
+    (path,) = _tables(cache_dir)
     data = json.loads(path.read_text())
-    # a wrong row under a valid checksum and the current rules: trusted as is
     data["rows"][0] = [[0, "7"]]
     text = json.dumps(data["rows"], separators=(",", ":"))
     data["rows_crc"] = zlib.crc32(text.encode())
     path.write_text(json.dumps(data, separators=(",", ":")))
+    return data
+
+
+def test_verify_relations_reports_the_failures_of_a_trusted_table(tmp_path):
+    n = 3
+    data = _plant_wrong_row(tmp_path, n)
+    (path,) = _tables(tmp_path)
     res = run("--cache-dir", str(tmp_path), "verify-relations", "--n", str(n))
     assert res.exit_code == 1, res.output
     report = json.loads(res.output)
@@ -381,11 +388,11 @@ def test_rational_numeric_point():
 
 
 def _value_or_usage_error(parse, *args):
-    """parse(*args), or None when it raises click.UsageError; any other
+    """parse(*args), or None when it raises UsageError; any other
     exception propagates and fails the test."""
     try:
         return parse(*args)
-    except click.UsageError:
+    except UsageError:
         return None
 
 
@@ -459,6 +466,77 @@ def test_parse_numeric_returns_a_point_or_a_usage_error(text):
 def test_parse_numeric_refuses_exponent_notation():
     # Fraction("1e1000") would build a 3 322-bit numerator before any check
     for text in ("0,1e1000,3", "0,3,2E5", "7,1e2,3"):
-        with pytest.raises(click.UsageError, match="exponent notation"):
+        with pytest.raises(UsageError, match="exponent notation"):
             _parse_numeric(text)
     assert _parse_numeric("0,3/2,1.5").q0 == Fraction(3, 2)
+
+
+def test_import_loads_no_avoidable_standard_library_module():
+    # click, dataclasses (with inspect) and fractions (with decimal) are not
+    # needed to start a job; a p = 0 numeric point imports fractions itself
+    code = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import qbrauer.cli\n"
+        "print(' '.join(sorted(set(sys.modules) - before)))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    loaded = set(out.stdout.split())
+    assert {"qbrauer.cells", "qbrauer.linalg", "qbrauer.semisimple"} <= loaded
+    avoidable = {"click", "dataclasses", "inspect", "fractions", "decimal"}
+    assert loaded & avoidable == set()
+
+
+def test_main_returns_every_exit_code_without_exiting(tmp_path):
+    from qbrauer.cli import main
+
+    _plant_wrong_row(tmp_path, 2)
+    cases = [
+        (0, ["basis-count", "--n", "2"]),
+        (1, ["--cache-dir", str(tmp_path), "verify-relations", "--n", "2"]),
+        (2, ["verify-relations", "--n", "1"]),
+        (3, ["--output", str(tmp_path / "missing" / "r.json"), "basis-count", "--n", "2"]),
+    ]
+    for code, argv in cases:
+        assert run(*argv).exit_code == code, argv
+    with pytest.raises(SystemExit) as exc:
+        with redirect_stdout(io.StringIO()):
+            main(["basis-count", "--n", "2"])
+    assert exc.value.code == 0
+
+
+@pytest.mark.parametrize(
+    "command",
+    ["", "verify-relations", "gram", "jm-spectrum", "branching", "scan", "semisimple",
+     "mul", "basis-count"],
+)
+def test_help_exits_zero(command):
+    res = run(*command.split(), "--help")
+    assert res.exit_code == 0, res.output
+    assert res.stdout.startswith(" ".join(["usage: qbrauer", command]).rstrip())
+
+
+def test_usage_error_prints_the_command_usage():
+    res = run("scan", "--n", "3", "--from", "5", "--to", "-5")
+    assert res.exit_code == 2
+    assert res.stdout == ""
+    assert res.stderr.startswith("usage: qbrauer scan")
+    assert res.stderr.endswith(
+        "qbrauer scan: error: empty exponent range: --from 5 exceeds --to -5\n"
+    )
+
+
+@pytest.mark.parametrize("a", ["99999999999999999999", "-1000001"])
+def test_gram_refuses_a_huge_exponent(a):
+    res = run("gram", "--n", "3", "--f", "1", "--lambda", "[1]", "--z-exp", a)
+    assert res.exit_code == 2, res.output
+    assert "--z-exp" in res.stderr
+    assert "Traceback" not in res.output
+
+
+def test_gram_takes_a_moderate_exponent():
+    res = run("gram", "--n", "3", "--f", "1", "--lambda", "[1]", "--z-exp", "50")
+    assert res.exit_code == 0, res.output

@@ -288,3 +288,16 @@ def test_numeric_point_characteristic_must_be_prime():
         with pytest.raises(CoefficientError):
             NumericPoint(p, 2, 5)
     assert NumericPoint(0, Fraction(1, 2), Fraction(3)).q0 == Fraction(1, 2)
+
+
+def test_specializations_are_immutable_values():
+    spec = NumericPoint(7, 10, 2)
+    assert spec == NumericPoint(7, 10, 2) and hash(spec) == hash(NumericPoint(7, 10, 2))
+    assert spec != NumericPoint(7, 3, 2)
+    assert repr(spec) == "NumericPoint(characteristic=7, q0=10, z0=2)"
+    assert repr(IntegerExponent(-3)) == "IntegerExponent(a=-3)"
+    assert {IntegerExponent(2): 1}[IntegerExponent(2)] == 1
+    with pytest.raises(AttributeError):
+        spec.q0 = 3
+    with pytest.raises(AttributeError):
+        IntegerExponent(2).a = 3

@@ -9,7 +9,6 @@ from qbrauer.combinatorics import (
     IDENTITY,
     Perm,
     UpDownTableau,
-    apply_to_tableau,
     branching_list,
     config_to_rep,
     coset_reps_D,
@@ -20,10 +19,10 @@ from qbrauer.combinatorics import (
     labels,
     nodes,
     partitions,
-    pattern_word,
     perm_from_word,
     s,
     seg,
+    seg_word,
     std_tableaux,
     superstandard,
     ud_dominates,
@@ -52,6 +51,10 @@ def test_dominance():
     assert dominance((2, 2), (2, 2)) == "eq"
     with pytest.raises(CombinatoricsError):
         dominance((2,), (1, 1, 1))
+
+
+def apply_to_tableau(t, w):
+    return tuple(tuple(w(v) for v in row) for row in t)
 
 
 def test_std_tableaux_and_coset_word():
@@ -95,6 +98,15 @@ def test_rank_identity():
             for f in range(n // 2 + 1)
         )
         assert tot == double_factorial_odd(2 * n - 1)
+
+
+def pattern_word(f, chosen):
+    """Generator word of the representative for parameter list [(j_k, i_k)]."""
+    w = ()
+    for k in range(len(chosen), 0, -1):
+        jk, ik = chosen[k - 1]
+        w += seg_word(2 * k, ik) + seg_word(2 * k - 1, jk)
+    return w
 
 
 def test_coset_reps_pattern_and_reduced():

@@ -12,9 +12,7 @@ warm pass are both checked byte for byte."""
 import os
 
 import pytest
-from click.testing import CliRunner
-
-from qbrauer.cli import main
+from conftest import run_cli
 
 HERE = os.path.dirname(__file__)
 EXPECTED = os.path.join(HERE, os.pardir, "perfbench", "expected")
@@ -52,7 +50,7 @@ def check_report(path, argv, cache_dir, monkeypatch):
     with open(path, newline="") as fh:
         expected = fh.read()
     for cache_pass in ("cold", "warm"):
-        res = CliRunner().invoke(main, argv)
+        res = run_cli(*argv)
         assert res.exit_code == 0, (cache_pass, res.output)
         assert res.stdout == expected, cache_pass
 
