@@ -81,9 +81,11 @@ from .combinatorics import (
     Perm,
     config_to_rep,
     coset_reps_D,
+    d_config,
     s,
     seg,
     seg_word,
+    window_perms,
 )
 from .hecke import HeckeElt
 
@@ -118,6 +120,17 @@ def Tinv(i: int):
 
 
 E1 = ("E",)
+
+
+def check_letter(g, n: int):
+    """g when it is a generator letter of the rank-n algebra: T_i or Tinv_i
+    with 1 <= i <= n - 1, or E_1 with n >= 2; AlgebraError otherwise."""
+    if g == E1:
+        if n < 2:
+            raise AlgebraError("E_1 requires n >= 2")
+    elif not 1 <= g[1] <= n - 1:
+        raise AlgebraError(f"generator index {g[1]} out of range for n={n}")
+    return g
 
 
 class AlgebraElt:
@@ -254,10 +267,7 @@ class Engine:
         if f == 0:
             return {(u, IDENTITY): ONE}
         # factor through the stabilizer coset: u = sigma . d
-        cfg = frozenset(
-            frozenset((u(2 * k - 1), u(2 * k))) for k in range(1, f + 1)
-        )
-        d = config_to_rep(f, self.n)[cfg]
+        d = config_to_rep(f, self.n)[d_config(f, u)]
         sigma = u * d.inv()
         lo, hi = sigma.min_window()
         if lo > 2 * f or lo > hi:
@@ -406,6 +416,7 @@ class Engine:
 
     def _rmul_word_impl(self, x: NormalWord, g) -> AlgebraElt:
         n = self.n
+        check_letter(g, n)
         f, d1, w, d2 = x
         if g[0] == "Tinv":
             return self._rmul_word(x, T(g[1])) - AlgebraElt(
@@ -414,11 +425,8 @@ class Engine:
         u = w * d2
         assert u.length() == w.length() + d2.length(), (x,)
         if g[0] == "T":
-            i = g[1]
-            if not (1 <= i <= n - 1):
-                raise AlgebraError(f"generator T_{i} out of range for n={n}")
             out: Dict[NormalWord, Coeff] = {}
-            pieces = HeckeElt((1, n), {u: ONE}).mul_gen(i)
+            pieces = HeckeElt((1, n), {u: ONE}).mul_gen(g[1])
             for u2, c in pieces.terms.items():
                 for (omega, dd), c2 in self.reduce(f, u2).items():
                     add_term(out, NormalWord(f, d1, omega, dd), c * c2)
@@ -426,8 +434,6 @@ class Engine:
             r.terms = out
             return r
         # g == E1
-        if n < 2:
-            raise AlgebraError("E_1 requires n >= 2")
         res = self.sand(f, u)
         if not d1.is_identity():
             res = self.left_mul_sigma_T(res, d1)
@@ -519,8 +525,6 @@ def one_elt(n: int) -> AlgebraElt:
 
 def generator_elt(g, n: int) -> AlgebraElt:
     """T_i, Tinv_i or E_1 as a normal-form element."""
-    if g != E1 and not (1 <= g[1] <= n - 1):
-        raise AlgebraError(f"generator index {g[1]} out of range for n={n}")
     eng = get_engine(n)
     return eng.right_mul_gen(eng.one(), g)
 
@@ -637,17 +641,12 @@ def phi_embed(x: AlgebraElt, n: int) -> AlgebraElt:
 
 
 def all_normal_words(n: int) -> List[NormalWord]:
-    from itertools import permutations as iperm
-
     out = []
     for f in range(n // 2 + 1):
         D = coset_reps_D(f, n)
-        lo = 2 * f + 1
-        window_perms = [
-            Perm(p, lo) for p in iperm(range(lo, n + 1))
-        ] if lo <= n else [IDENTITY]
+        ws = window_perms(2 * f + 1, n)
         for d1 in D:
-            for w in window_perms:
+            for w in ws:
                 for d2 in D:
                     out.append(NormalWord(f, d1, w, d2))
     return out

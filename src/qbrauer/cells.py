@@ -44,7 +44,6 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
-from itertools import permutations as _iperms
 from typing import Dict, List, Optional, Tuple
 
 from .coefficients import (
@@ -68,6 +67,7 @@ from .combinatorics import (
     StandardTableau,
     UpDownTableau,
     branching_list,
+    check_label,
     content,
     coset_reps_D,
     coset_word,
@@ -80,6 +80,7 @@ from .combinatorics import (
     ud_dominates,
     ud_key,
     updown_tableaux,
+    window_perms,
 )
 from .hecke import HeckeElt, murphy_x, x_lambda
 from .algebra import (
@@ -234,25 +235,12 @@ def _removal_letters(i: int, f: int, b_k: int) -> list:
     )
 
 
-def _check_label(n: int, f: int, lam: Partition):
-    lam = tuple(lam)
-    if f < 0 or 2 * f > n:
-        raise CellError(f"deficiency f={f} out of range for n={n}")
-    if any(x <= 0 for x in lam) or any(
-        lam[i] < lam[i + 1] for i in range(len(lam) - 1)
-    ):
-        raise CellError(f"{lam} is not a partition")
-    if sum(lam) != n - 2 * f:
-        raise CellError(f"({f}, {lam}) is not a cell label at rank {n}")
-    return lam
-
-
 class CellModule:
     """The cell module C(f, lam) of the rank-n algebra, with its coset basis,
     Jucys-Murphy basis, generator actions and Gram matrix."""
 
     def __init__(self, n: int, f: int, lam: Partition):
-        lam = _check_label(n, f, lam)
+        lam = check_label(n, f, lam)
         self.n = n
         self.f = f
         self.lam = lam
@@ -623,7 +611,7 @@ def y_element(f: int, lam, mu, n: int) -> AlgebraElt:
     """The transition element y^lam_mu of the restriction filtration:
     E^f x_lam T_{a_k,n} for a removal, and
     E_{2f-1} T_{n,2f}^{-1} T_{b_k,2f-1}^{-1} E^{f-1} x_mu for an addition."""
-    lam = _check_label(n, f, lam)
+    lam = check_label(n, f, lam)
     mu = tuple(mu)
     eng = get_engine(n)
     if sum(mu) == sum(lam) - 1:
@@ -668,11 +656,7 @@ class VLayer:
         if n < 2:
             raise CellError("the f=1 layer needs n >= 2")
         self.n = n
-        window_perms = (
-            [Perm(p, 3) for p in _iperms(range(3, n + 1))] if n >= 3 else [IDENTITY]
-        )
-        window_perms.sort(key=lambda w: (w.length(), w.word()))
-        self.ws = window_perms
+        self.ws = sorted(window_perms(3, n), key=lambda w: (w.length(), w.word()))
         self.reps = list(coset_reps_D(1, n))
         self.index = [(w, d) for w in self.ws for d in self.reps]
         self.pos = {

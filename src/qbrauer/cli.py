@@ -22,6 +22,7 @@ from .algebra import (
     T,
     Tinv,
     all_normal_words,
+    check_letter,
     elt_from_letters,
     mul as algebra_mul,
 )
@@ -36,7 +37,13 @@ from .coefficients import (
     ZINV,
     CoefficientError,
 )
-from .combinatorics import IDENTITY, brauer_dimension, labels
+from .combinatorics import (
+    IDENTITY,
+    CombinatoricsError,
+    brauer_dimension,
+    check_label,
+    is_partition,
+)
 from .linalg import mat_det
 from .semisimple import (
     DEFAULT_SEED,
@@ -95,7 +102,7 @@ def _parse_partition(text):
         parts = tuple(int(p) for p in inner.split(","))
     except ValueError:
         raise UsageError(f"partition entries must be integers: {text!r}")
-    if any(p <= 0 for p in parts) or list(parts) != sorted(parts, reverse=True):
+    if not is_partition(parts):
         raise UsageError(f"partition must be weakly decreasing and positive: {text!r}")
     return parts
 
@@ -131,9 +138,14 @@ def _spec_from_flags(z_exp, numeric):
     return None
 
 
-def _check_label_usage(n, f, lam):
-    if (f, tuple(lam)) not in labels(n):
-        raise UsageError(f"(f={f}, lambda={list(lam)}) is not a cell label at n={n}")
+def _cell_label(args):
+    """The partition of --lambda, when (--f, --lambda) is a cell label at
+    --n; a usage error otherwise."""
+    lam = _parse_partition(args.lam)
+    try:
+        return check_label(args.n, args.f, lam)
+    except CombinatoricsError as exc:
+        raise UsageError(str(exc))
 
 
 def _config(n, **extra):
@@ -233,8 +245,7 @@ def verify_relations(args):
 def gram(args):
     """Gram matrix and determinant of a cell module."""
     n, f = args.n, args.f
-    lam = _parse_partition(args.lam)
-    _check_label_usage(n, f, lam)
+    lam = _cell_label(args)
     spec = _spec_from_flags(args.z_exp, args.numeric)
     mod = cell_module(n, f, lam)
     g = specialized_gram(mod, spec)
@@ -258,8 +269,7 @@ def jm_spectrum(args):
     """Eigenvalue spectra and triangularity certificates of the commuting
     family on a cell module."""
     n, f = args.n, args.f
-    lam = _parse_partition(args.lam)
-    _check_label_usage(n, f, lam)
+    lam = _cell_label(args)
     mod = cell_module(n, f, lam)
     spectra = {}
     ok = True
@@ -280,8 +290,7 @@ def jm_spectrum(args):
 def branching(args):
     """Restriction filtration of a cell module with factor identification."""
     n, f = args.n, args.f
-    lam = _parse_partition(args.lam)
-    _check_label_usage(n, f, lam)
+    lam = _cell_label(args)
     r = cell_module(n, f, lam).filtration_check()
     payload = {
         "command": "branching",
@@ -354,26 +363,27 @@ def _parse_letters(text, n):
     letters = []
     for tok in text.replace("*", " ").split():
         if tok == "E1":
-            letters.append(E1)
+            g = E1
         elif tok.startswith("Tinv"):
-            letters.append(Tinv(_parse_gen_index(tok[4:], n)))
+            g = Tinv(_parse_gen_index(tok[4:]))
         elif tok.startswith("T"):
-            letters.append(T(_parse_gen_index(tok[1:], n)))
+            g = T(_parse_gen_index(tok[1:]))
         elif tok == "1":
             continue
         else:
             raise UsageError(f"unknown generator {tok!r}")
+        try:
+            letters.append(check_letter(g, n))
+        except AlgebraError as exc:
+            raise UsageError(str(exc))
     return letters
 
 
-def _parse_gen_index(text, n):
+def _parse_gen_index(text):
     try:
-        i = int(text)
+        return int(text)
     except ValueError:
         raise UsageError(f"bad generator index {text!r}")
-    if not 1 <= i <= n - 1:
-        raise UsageError(f"generator index {i} out of range for n={n}")
-    return i
 
 
 def mul_cmd(args):

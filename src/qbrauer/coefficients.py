@@ -518,12 +518,7 @@ def parse_poly(s: str) -> Terms:
                 j = int(factor[2:]) if "^" in factor else 1
             else:
                 c *= int(factor)
-        k = (i, j)
-        v = out.get(k, 0) + c
-        if v:
-            out[k] = v
-        else:
-            out.pop(k, None)
+        add_term(out, (i, j), c)
     return out
 
 

@@ -22,8 +22,8 @@ Conventions fixed here and used everywhere:
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import combinations
-from typing import Iterator, List, Optional, Sequence, Tuple
+from itertools import combinations, permutations
+from typing import Iterator, List, Sequence, Tuple
 
 Partition = Tuple[int, ...]
 
@@ -177,6 +177,12 @@ def perm_from_word(word: Sequence[int]) -> Perm:
     return w
 
 
+def window_perms(lo: int, hi: int) -> List[Perm]:
+    """All permutations of the window [lo, hi], in itertools order; an
+    empty window (lo > hi) gives [IDENTITY]."""
+    return [Perm(p, lo) for p in permutations(range(lo, hi + 1))]
+
+
 def seg(i: int, j: int) -> Perm:
     """The element s_{i,j}: s_i s_{i+1}...s_{j-1} (i<j), s_{i-1}...s_j (i>j)."""
     return perm_from_word(seg_word(i, j))
@@ -195,9 +201,8 @@ def seg_word(i: int, j: int) -> Tuple[int, ...]:
 # ---------------------------------------------------------------------------
 
 
-def partitions(d: int, e: Optional[int] = None) -> List[Partition]:
-    """All partitions of d, optionally e-restricted (consecutive differences
-    and the last part all strictly below e)."""
+def partitions(d: int) -> List[Partition]:
+    """All partitions of d."""
 
     def gen(rem: int, maxpart: int) -> Iterator[Partition]:
         if rem == 0:
@@ -207,15 +212,12 @@ def partitions(d: int, e: Optional[int] = None) -> List[Partition]:
             for rest in gen(rem - first, first):
                 yield (first,) + rest
 
-    out = list(gen(d, d if d else 1))
-    if e is not None and e != float("inf"):
-        out = [lam for lam in out if is_e_restricted(lam, e)]
-    return out
+    return list(gen(d, d if d else 1))
 
 
-def is_e_restricted(lam: Partition, e: int) -> bool:
-    ext = list(lam) + [0]
-    return all(ext[i] - ext[i + 1] < e for i in range(len(lam)))
+def is_partition(lam: Sequence[int]) -> bool:
+    """Whether lam is weakly decreasing and positive."""
+    return all(p > 0 for p in lam) and all(a >= b for a, b in zip(lam, lam[1:]))
 
 
 def dominance(lam: Partition, mu: Partition) -> str:
@@ -266,6 +268,18 @@ def brauer_dimension(n: int) -> int:
     for k in range(1, 2 * n, 2):
         out *= k
     return out
+
+
+def check_label(n: int, f: int, lam: Sequence[int]) -> Partition:
+    """lam as a Partition when (f, lam) is a cell label of the rank-n
+    algebra: 0 <= 2f <= n and lam a partition of n - 2f.  Takes
+    O(len(lam)) steps and lists no labels."""
+    lam = tuple(lam)
+    if not (0 <= 2 * f <= n and is_partition(lam) and sum(lam) == n - 2 * f):
+        raise CombinatoricsError(
+            f"(f={f}, lambda={list(lam)}) is not a cell label at n={n}"
+        )
+    return lam
 
 
 def labels(n: int) -> List[CellLabel]:
@@ -388,19 +402,12 @@ def coset_word(t: StandardTableau) -> Perm:
 
 def row_stabilizer_perms(lam: Partition, start: int = 1) -> List[Perm]:
     """All elements of the Young subgroup S_lam (row stabilizer of t^lam)."""
-    from itertools import permutations as iperm
-
-    blocks: List[List[Perm]] = []
+    out = [IDENTITY]
     x = start
     for p in lam:
-        entries = list(range(x, x + p))
-        blocks.append(
-            [Perm(im, x) for im in iperm(entries)]
-        )
+        block = window_perms(x, x + p - 1)
+        out = [a * b for a in out for b in block]
         x += p
-    out = [IDENTITY]
-    for blk in blocks:
-        out = [a * b for a in out for b in blk]
     return out
 
 
@@ -478,8 +485,7 @@ def branching_list(
     when f > 0, by adding one (labels (f-1, .)), by label_key(n-1, .)
     descending, so removals come first.  Returns (list, number of
     removals)."""
-    if sum(lam) != n - 2 * f or f < 0:
-        raise CombinatoricsError(f"({f}, {lam}) is not a label at rank {n}")
+    lam = check_label(n, f, lam)
     removable, addable = nodes(lam)
     mus = [remove_node(lam, p) for p in removable]
     split = len(mus)
@@ -536,9 +542,7 @@ class UpDownTableau:
 
 
 def updown_tableaux(n: int, lam: Partition) -> List[UpDownTableau]:
-    lam = tuple(lam)
-    if (n - sum(lam)) % 2 or sum(lam) > n:
-        raise CombinatoricsError(f"no paths of length {n} to {lam}")
+    lam = check_label(n, (n - sum(lam)) // 2, lam)
 
     paths: List[List[Partition]] = [[()]]
     for _ in range(n):

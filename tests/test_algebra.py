@@ -16,6 +16,7 @@ from qbrauer.algebra import (
     T,
     Tinv,
     all_normal_words,
+    check_letter,
     e_index,
     e_power,
     elt_from_letters,
@@ -26,6 +27,7 @@ from qbrauer.algebra import (
     mul,
     one_elt,
     phi_embed,
+    right_mul_gen,
     sigma,
     tilde_e1,
 )
@@ -107,6 +109,36 @@ def test_sigma_fixes_generators():
         for g in (T(1), T(2), E1):
             x = generator_elt(g, n)
             assert sigma(x) == x
+
+
+@pytest.mark.parametrize(
+    "g, n, message",
+    [
+        (T(0), 3, "generator index 0 out of range for n=3"),
+        (Tinv(0), 3, "generator index 0 out of range for n=3"),
+        (T(3), 3, "generator index 3 out of range for n=3"),
+        (Tinv(3), 3, "generator index 3 out of range for n=3"),
+        (T(1), 1, "generator index 1 out of range for n=1"),
+        (E1, 1, "E_1 requires n >= 2"),
+    ],
+)
+def test_letter_check_refuses_letters_outside_the_rank(g, n, message):
+    from qbrauer.algebra import AlgebraError
+
+    def on_the_identity(g, n):
+        return right_mul_gen(one_elt(n), g)
+
+    for refuse in (check_letter, generator_elt, on_the_identity):
+        with pytest.raises(AlgebraError) as info:
+            refuse(g, n)
+        assert str(info.value) == message
+
+
+def test_letter_check_takes_every_letter_of_the_rank():
+    for n in (1, 2, 3, 4):
+        letters = [T(i) for i in range(1, n)] + [Tinv(i) for i in range(1, n)]
+        letters += [E1] if n >= 2 else []
+        assert [check_letter(g, n) for g in letters] == letters
 
 
 def test_jm_2_closed_form():

@@ -79,6 +79,43 @@ def test_gram_invalid_label_is_usage_error():
     assert run("gram", "--n", "3", "--f", "1", "--lambda", "[1,2]").exit_code == 2
 
 
+@pytest.mark.parametrize("command", ["gram", "jm-spectrum", "branching"])
+@pytest.mark.parametrize(
+    "n, f, lam",
+    [("60", "31", "[]"), ("60", "-1", "[62]"), ("3", "0", "[2]"), ("50", "0", "[49]")],
+)
+def test_bad_label_is_a_usage_error_without_listing_labels(
+    monkeypatch, command, n, f, lam
+):
+    import qbrauer.cli
+    import qbrauer.combinatorics
+
+    def listing(n):
+        raise AssertionError(f"labels({n}) listed")
+
+    # the check lists no labels: a listing at n = 60 takes tens of seconds
+    monkeypatch.setattr(qbrauer.combinatorics, "labels", listing)
+    monkeypatch.setattr(qbrauer.cli, "labels", listing, raising=False)
+    res = run(command, "--n", n, "--f", f, "--lambda", lam)
+    assert res.exit_code == 2, res.output
+    assert res.stdout == ""
+    assert res.stderr.endswith(
+        f"qbrauer {command}: error: (f={f}, lambda={lam.replace(',', ', ')}) "
+        f"is not a cell label at n={n}\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "left, index", [("T0", 0), ("T3", 3), ("Tinv3", 3), ("T1 Tinv0", 0)]
+)
+def test_mul_letter_outside_the_rank_is_a_usage_error(left, index):
+    res = run("mul", "--n", "3", left, "E1")
+    assert res.exit_code == 2, res.output
+    assert res.stderr.endswith(
+        f"qbrauer mul: error: generator index {index} out of range for n=3\n"
+    )
+
+
 def test_gram_conflicting_specializations_usage_error():
     res = run(
         "gram", "--n", "2", "--f", "1", "--lambda", "[]",

@@ -10,6 +10,7 @@ from qbrauer.combinatorics import (
     Perm,
     UpDownTableau,
     branching_list,
+    check_label,
     config_to_rep,
     coset_reps_D,
     coset_word,
@@ -28,6 +29,7 @@ from qbrauer.combinatorics import (
     ud_dominates,
     ud_key,
     updown_tableaux,
+    window_perms,
 )
 
 
@@ -42,7 +44,51 @@ def double_factorial_odd(m):
 def test_partitions():
     assert set(partitions(3)) == {(3,), (2, 1), (1, 1, 1)}
     assert partitions(0) == [()]
-    assert set(partitions(4, 2)) == {(2, 1, 1), (1, 1, 1, 1)}
+
+
+def test_check_label_returns_the_partition_of_every_label():
+    for n in range(1, 7):
+        for f, lam in labels(n):
+            assert check_label(n, f, list(lam)) == lam
+
+
+@pytest.mark.parametrize(
+    "n, f, lam",
+    [
+        (3, -1, (5,)),  # f < 0, with |lam| = n - 2f
+        (3, 2, ()),  # 2f > n
+        (5, 3, ()),  # 2f > n by one
+        (3, 0, (1, 2)),  # not weakly decreasing
+        (3, 0, (3, 0)),  # a zero part
+        (4, 1, (3, -1)),  # a negative part, with the right sum
+        (4, 1, (3,)),  # wrong size
+        (4, 0, ()),  # wrong size
+    ],
+)
+def test_check_label_refuses_what_is_not_a_label(n, f, lam):
+    with pytest.raises(CombinatoricsError, match=r"is not a cell label at n="):
+        check_label(n, f, lam)
+
+
+def test_updown_tableaux_need_a_cell_label():
+    for lam in [(2,), (4,), (1, 2)]:
+        with pytest.raises(CombinatoricsError, match="is not a cell label at n=3"):
+            updown_tableaux(3, lam)
+
+
+def test_check_label_message():
+    with pytest.raises(CombinatoricsError) as info:
+        check_label(60, 31, ())
+    assert str(info.value) == "(f=31, lambda=[]) is not a cell label at n=60"
+
+
+def test_window_perms():
+    assert window_perms(3, 2) == [IDENTITY]
+    assert window_perms(2, 2) == [IDENTITY]
+    ws = window_perms(2, 4)
+    assert len(ws) == len(set(ws)) == 6
+    assert ws[0] == IDENTITY and ws[1] == s(3)
+    assert all(w.supported_in(2, 4) for w in ws)
 
 
 def test_dominance():
