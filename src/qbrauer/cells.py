@@ -10,12 +10,12 @@ recursion left-multiplies; the lifts are built on sigma(m_t) instead, by
 right products with the reversed letters (sigma is an anti-automorphism
 fixing every generator), and one sigma at the end gives m_t.  y_element is
 built the same way: this module multiplies no two algebra elements.  The
-basis is sorted by combinatorics.ud_key, which refines the order
+basis comes in the order of combinatorics.ud_key, which refines the order
 ud_dominates in which the Jucys-Murphy elements are triangular: L_k m_t =
 c_t(k) m_t plus terms m_s with s strictly above t.  check_triangular
 certifies the diagonal and checks each nonzero off-diagonal entry against
 ud_dominates itself, so an entry at a pair the order leaves incomparable
-fails even above the diagonal of the sort.
+fails even above the diagonal.
 
 Reduction algorithm (vector): after multiplying a lifted basis element by a
 generator, drop all words of deficiency > f, group the remaining words by
@@ -44,6 +44,7 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
+from itertools import groupby
 from typing import Dict, List, Optional, Tuple
 
 from .coefficients import (
@@ -75,10 +76,10 @@ from .combinatorics import (
     dominance,
     partitions,
     seg_word,
+    shape_diff,
     std_tableaux,
     superstandard,
     ud_dominates,
-    ud_key,
     updown_tableaux,
     window_perms,
 )
@@ -99,8 +100,6 @@ from .algebra import (
     tilde_e1,
 )
 from .linalg import kernel_basis, mat_inverse, mat_mul, mat_rank
-
-CellLabel = Tuple[int, Partition]
 
 
 class CellError(ValueError):
@@ -251,8 +250,8 @@ class CellModule:
         self.index = [(t, v) for t in self.tabs for v in self.reps]
         self.pos = {key: i for i, key in enumerate(self.index)}
         self.dim = len(self.index)
-        # sorted by ud_key, so Jucys-Murphy actions are upper triangular
-        self.ud: List[UpDownTableau] = sorted(updown_tableaux(n, lam), key=ud_key)
+        # in ud_key order, so Jucys-Murphy actions are upper triangular
+        self.ud: List[UpDownTableau] = updown_tableaux(n, lam)
         if len(self.ud) != self.dim:
             raise CellError("up-down tableau count does not match dimension")
         self._elements: Optional[List[AlgebraElt]] = None
@@ -493,26 +492,16 @@ class CellModule:
         spectrum of each layer."""
         n, f, lam = self.n, self.f, self.lam
         mus, split = branching_list(f, lam, n)
-        m = len(mus)
         # block of each up-down tableau: position of its level n-1 shape
-        layer_of = []
-        for t in self.ud:
-            mu = t.shapes[n - 1]
-            layer_of.append(mus.index(mu))
+        layer_of = [mus.index(t.shapes[n - 1]) for t in self.ud]
+        # the runs of one layer along self.ud, as (layer, start, stop)
+        runs: List[Tuple[int, int, int]] = []
+        for j, run in groupby(layer_of):
+            start = runs[-1][2] if runs else 0
+            runs.append((j, start, start + sum(1 for _ in run)))
         # layers must be contiguous and in reverse order along self.ud
-        boundaries: List[Tuple[int, int, int]] = []  # (layer, start, stop)
-        i = 0
-        seen = []
-        while i < self.dim:
-            j = layer_of[i]
-            start = i
-            while i < self.dim and layer_of[i] == j:
-                i += 1
-            boundaries.append((j, start, i))
-            seen.append(j)
-        contiguous = seen == sorted(seen, reverse=True) and len(set(seen)) == len(
-            seen
-        )
+        seen = [j for j, _, _ in runs]
+        contiguous = seen == sorted(set(seen), reverse=True)
 
         factors = []
         total = 0
@@ -549,7 +538,7 @@ class CellModule:
         invariance_ok = contiguous
         for g in gens:
             jg = self._in_jm_basis(self.act(g))
-            for (lj, start, stop) in boundaries:
+            for _, start, stop in runs:
                 for r in range(start, stop):
                     for c in range(start):
                         if jg[r][c]:
@@ -616,11 +605,7 @@ def y_element(f: int, lam, mu, n: int) -> AlgebraElt:
     eng = get_engine(n)
     if sum(mu) == sum(lam) - 1:
         # removal: mu = lam minus a box in row k
-        k = next(
-            r + 1
-            for r in range(len(lam))
-            if (mu[r] if r < len(mu) else 0) != lam[r]
-        )
+        k = shape_diff(lam, mu)[0]
         a_k = 2 * f + sum(lam[:k])
         base = _lift_x_lambda(n, f, lam, (2 * f + 1, n))
         return eng.apply_letters(base, [T(i) for i in seg_word(a_k, n)])
@@ -628,11 +613,7 @@ def y_element(f: int, lam, mu, n: int) -> AlgebraElt:
         # addition: mu = lam plus a box in row k
         if f == 0:
             raise CellError("adding a box needs deficiency f >= 1")
-        k = next(
-            r + 1
-            for r in range(len(mu))
-            if (lam[r] if r < len(lam) else 0) != mu[r]
-        )
+        k = shape_diff(mu, lam)[0]
         b_k = 2 * f - 1 + sum(lam[:k])
         # sigma fixes the lift and every letter, so head . lift is
         # sigma(lift . the letters of head, reversed)

@@ -12,11 +12,14 @@ Conventions fixed here and used everywhere:
   * A shape lam at level k of an up-down tableau is the label (f, lam) with
     deficiency f = (k - |lam|)/2.  At a fixed level, larger f is strictly
     larger (the bigger cell) and equal f compares by dominance; label_key
-    refines this to a total order.  Up-down tableaux are ordered levelwise,
-    s above t when s_k is at or above t_k at every level k (ud_dominates),
-    and ud_key refines that order.  The Jucys-Murphy elements act
-    triangularly in it: L_k m_t = c_t(k) m_t + terms m_s with s strictly
-    above t.
+    refines this to a total order.  branching_list gives the neighbours of
+    a label one level down, and the up-down tableaux of lam are the paths
+    of that branching graph from lam to the empty partition;
+    updown_tableaux lists them in ud_key order.  Up-down tableaux are
+    ordered levelwise, s above t when s_k is at or above t_k at every level
+    k (ud_dominates), and ud_key refines that order.  The Jucys-Murphy
+    elements act triangularly in it: L_k m_t = c_t(k) m_t + terms m_s with
+    s strictly above t.
 """
 
 from __future__ import annotations
@@ -542,20 +545,19 @@ class UpDownTableau:
 
 
 def updown_tableaux(n: int, lam: Partition) -> List[UpDownTableau]:
+    """The up-down tableaux of shape lam at level n: the paths of the
+    branching graph from lam down to the empty partition, each step a shape
+    of branching_list.  Taking those shapes in ascending label_key at every
+    level lists the paths in ud_key order."""
     lam = check_label(n, (n - sum(lam)) // 2, lam)
-
-    paths: List[List[Partition]] = [[()]]
-    for _ in range(n):
-        nxt = []
-        for p in paths:
-            cur = p[-1]
-            removable, addable = nodes(cur)
-            for q in addable:
-                nxt.append(p + [add_node(cur, q)])
-            for q in removable:
-                nxt.append(p + [remove_node(cur, q)])
-        paths = nxt
-    return [UpDownTableau(p) for p in paths if p[-1] == lam]
+    paths: List[Tuple[Partition, ...]] = [(lam,)]
+    for k in range(n, 0, -1):
+        paths = [
+            (mu,) + p
+            for p in paths
+            for mu in reversed(branching_list((k - sum(p[0])) // 2, p[0], k)[0])
+        ]
+    return [UpDownTableau(p) for p in paths]
 
 
 def ud_key(t: UpDownTableau):

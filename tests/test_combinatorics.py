@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from math import factorial
 
 import pytest
@@ -208,11 +209,30 @@ def test_updown_counts():
     assert len(updown_tableaux(3, (1,))) == 3
     assert len(updown_tableaux(4, (2,))) == 6
     assert len(updown_tableaux(2, ())) == 1
-    for n in range(1, 7):
+    for n in range(1, 9):
         for f in range(n // 2 + 1):
             for lam in partitions(n - 2 * f):
-                got = len(updown_tableaux(n, lam))
-                assert got == len(coset_reps_D(f, n)) * len(std_tableaux(lam))
+                paths = updown_tableaux(n, lam)
+                assert len(paths) == len(coset_reps_D(f, n)) * len(std_tableaux(lam))
+                assert paths == sorted(paths, key=ud_key)
+                assert len(set(paths)) == len(paths)
+                # each step goes to a neighbour one level down in branching_list
+                for t in paths:
+                    for k in range(1, n + 1):
+                        up = t.shapes[k]
+                        down = branching_list((k - sum(up)) // 2, up, k)[0]
+                        assert t.shapes[k - 1] in down
+
+
+def test_updown_tableaux_of_a_row_build_only_its_path():
+    tracemalloc.start()
+    try:
+        paths = updown_tableaux(11, (11,))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert [t.shapes for t in paths] == [((),) + tuple((k,) for k in range(1, 12))]
+    assert peak < 1_000_000
 
 
 def test_ud_dominates_examples():
