@@ -15,15 +15,18 @@ ud_dominates in which the Jucys-Murphy elements are triangular: L_k m_t =
 c_t(k) m_t plus terms m_s with s strictly above t.  check_triangular
 certifies the diagonal and checks each nonzero off-diagonal entry against
 ud_dominates itself, so an entry at a pair the order leaves incomparable
-fails even above the diagonal.
+fails even above the diagonal.  A layer of the restriction filtration is the
+run of the basis through one level n-1 shape, and its spectrum is that
+certified diagonal of L_1 ... L_{n-1} (filtration_check).
 
 Reduction algorithm (vector): after multiplying a lifted basis element by a
 generator, drop all words of deficiency > f, group the remaining words by
 their right coset part d, expand each group in the Murphy basis of the
 Hecke algebra on the window letters, discard the components above lam in
-dominance (they lie in the span of bigger cells) and the components of
-shape lam whose left tableau is not superstandard, and keep the coefficient
-of x_{t^lam, t} T_d as the coordinate at (t, d).
+dominance (they lie in the span of bigger cells), and keep the coefficient
+of x_{t^lam, t} T_d as the coordinate at (t, d).  A component of shape lam
+whose left tableau is not t^lam means the element left the row
+x_{t^lam, .}, and is refused.
 
 Element actions: a cell module is a right module, so the coordinates of
 x . y are the coordinates of x times the matrix of y, and the matrix of a
@@ -306,23 +309,22 @@ class CellModule:
             h = HeckeElt(self.window)
             h.terms = dict(terms)
             for (mu, sx, tx), c in murphy_expand(h).items():
-                if mu == self.lam:
-                    if sx == self.tlam:
-                        key = (tx, d)
-                        if key not in self.pos:
-                            raise CellError(
-                                f"coset part {d} is not a representative"
-                            )
-                        coords[self.pos[key]] = coords[self.pos[key]] + c
-                    # shape lam with a non-superstandard left tableau lies in
-                    # the span of other rows of the same cell; discard
-                    continue
-                if dominance(mu, self.lam) == "gt":
-                    continue  # strictly bigger cell
-                raise CellError(
-                    f"reduction escaped the cell ideal: component {mu} "
-                    f"is not above {self.lam}"
-                )
+                if mu != self.lam:
+                    if dominance(mu, self.lam) == "gt":
+                        continue  # strictly bigger cell
+                    raise CellError(
+                        f"reduction escaped the cell ideal: component {mu} "
+                        f"is not above {self.lam}"
+                    )
+                if sx != self.tlam:
+                    raise CellError(
+                        "reduction left the row of the superstandard "
+                        f"tableau: component with left tableau {sx}"
+                    )
+                key = (tx, d)
+                if key not in self.pos:
+                    raise CellError(f"coset part {d} is not a representative")
+                coords[self.pos[key]] = coords[self.pos[key]] + c
         return coords
 
     # -- generator actions ---------------------------------------------------
@@ -487,74 +489,60 @@ class CellModule:
     # -- branching filtration ------------------------------------------------------
 
     def filtration_check(self) -> dict:
-        """Verify the restriction filtration layer by layer: dimensions,
-        invariance under the rank n-1 subalgebra, and the Jucys-Murphy
-        spectrum of each layer."""
+        """Verify the restriction filtration layer by layer.  A layer is the
+        run of self.ud through one level n-1 shape, in the reverse order of
+        branching_list; its dimension, its invariance under the rank n-1
+        subalgebra, and its spectrum: the diagonal of L_1 ... L_{n-1} that
+        check_triangular certifies has no failure in its rows."""
         n, f, lam = self.n, self.f, self.lam
         mus, split = branching_list(f, lam, n)
-        # block of each up-down tableau: position of its level n-1 shape
-        layer_of = [mus.index(t.shapes[n - 1]) for t in self.ud]
-        # the runs of one layer along self.ud, as (layer, start, stop)
-        runs: List[Tuple[int, int, int]] = []
-        for j, run in groupby(layer_of):
-            start = runs[-1][2] if runs else 0
-            runs.append((j, start, start + sum(1 for _ in run)))
-        # layers must be contiguous and in reverse order along self.ud
-        seen = [j for j, _, _ in runs]
-        contiguous = seen == sorted(set(seen), reverse=True)
+        runs: List[Tuple[Partition, range]] = []
+        for mu, run in groupby(self.ud, key=lambda t: t.shapes[n - 1]):
+            start = runs[-1][1].stop if runs else 0
+            runs.append((mu, range(start, start + sum(1 for _ in run))))
+        contiguous = [mu for mu, _ in runs] == mus[::-1]
+        layers = dict(runs)
+        bad_rows = {
+            x["row"]
+            for k in range(1, n)
+            for x in self.check_triangular(k)["failures"]
+            if x["kind"] == "diagonal"
+        }
 
         factors = []
-        total = 0
         for j, mu in enumerate(mus):
             ell = f if j < split else f - 1
-            expected = len(coset_reps_D(ell, n - 1)) * len(std_tableaux(mu))
-            got = sum(1 for x in layer_of if x == j)
-            total += got
-            # layer spectrum: the n-1 Jucys-Murphy eigenvalue strings
-            got_spec = sorted(
-                str(tuple(str(ct_eigenvalue(t, k)) for k in range(1, n)))
-                for t, lx in zip(self.ud, layer_of)
-                if lx == j
-            )
-            want_spec = sorted(
-                str(tuple(str(ct_eigenvalue(u, k)) for k in range(1, n)))
-                for u in updown_tableaux(n - 1, mu)
-            )
+            rows = layers.get(mu, range(0))
             factors.append(
                 {
                     "level": ell,
                     "mu": list(mu),
-                    "dim": got,
-                    "dim_ok": got == expected,
-                    "spectrum_ok": got_spec == want_spec,
+                    "dim": len(rows),
+                    "dim_ok": len(rows)
+                    == len(coset_reps_D(ell, n - 1)) * len(std_tableaux(mu)),
+                    "spectrum_ok": bad_rows.isdisjoint(rows),
                 }
             )
+        total_dim_ok = sum(x["dim"] for x in factors) == self.dim
 
         # invariance: in Jucys-Murphy coordinates every rank n-1 generator
         # maps each layer into the union of itself and later blocks
-        gens = [T(i) for i in range(1, n - 1)]
-        if n - 1 >= 2:
-            gens.append(E1)
-        invariance_ok = contiguous
-        for g in gens:
-            jg = self._in_jm_basis(self.act(g))
-            for _, start, stop in runs:
-                for r in range(start, stop):
-                    for c in range(start):
-                        if jg[r][c]:
-                            invariance_ok = False
-        ok = (
-            contiguous
-            and invariance_ok
-            and total == self.dim
-            and all(x["dim_ok"] and x["spectrum_ok"] for x in factors)
+        gens = [T(i) for i in range(1, n - 1)] + ([E1] if n > 2 else [])
+        invariance_ok = contiguous and not any(
+            any(jg[r][: rows.start])
+            for jg in (self._in_jm_basis(self.act(g)) for g in gens)
+            for _, rows in runs
+            for r in rows
+        )
+        ok = contiguous and invariance_ok and total_dim_ok and all(
+            x["dim_ok"] and x["spectrum_ok"] for x in factors
         )
         return {
             "label": [f, list(lam)],
             "factors": factors,
             "contiguous": contiguous,
             "invariance_ok": invariance_ok,
-            "total_dim_ok": total == self.dim,
+            "total_dim_ok": total_dim_ok,
             "ok": ok,
         }
 

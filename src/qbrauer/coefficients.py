@@ -795,9 +795,40 @@ def quantum_characteristic(char: int, q0) -> Union[int, float]:
     q2 = (q0 * q0) % p
     if q2 == 1:
         return p
-    # geometric sum vanishes iff q2^e = 1: e = multiplicative order of q2
-    e, acc = 1, q2
-    while acc != 1:
-        acc = (acc * q2) % p
-        e += 1
+    # geometric sum vanishes iff q2^e = 1: e = multiplicative order of q2,
+    # a divisor of p - 1 from which each prime factor is divided out while
+    # the power stays 1
+    e = p - 1
+    for r in _prime_factors(e):
+        while e % r == 0 and pow(q2, e // r, p) == 1:
+            e //= r
     return e
+
+
+def _prime_factors(m: int) -> set:
+    """The distinct prime factors of 1 <= m < _MR_LIMIT: trial division
+    below 2^10, then Pollard's rho on the cofactor, whose prime factors
+    is_prime certifies."""
+    out = set()
+    for r in range(2, 1 << 10):
+        while m % r == 0:
+            out.add(r)
+            m //= r
+    rest = [m] if m > 1 else []
+    while rest:
+        m = rest.pop()
+        if is_prime(m):
+            out.add(m)
+            continue
+        d, c = m, 0
+        while d == m:  # a rho cycle closed on m itself: next polynomial
+            c += 1
+            x = y = 2
+            d = 1
+            while d == 1:
+                x = (x * x + c) % m
+                y = (y * y + c) % m
+                y = (y * y + c) % m
+                d = _igcd(x - y, m)
+        rest += [d, m // d]
+    return out

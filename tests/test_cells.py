@@ -141,6 +141,19 @@ def test_cell_basis_shape():
     assert mat_mul(m.transition(), m.transition_inv()) == ident
 
 
+def test_vector_refuses_a_component_off_the_superstandard_row():
+    # x_{s, t^lam} with s != t^lam lies in the cell ideal but not in the row
+    # x_{t^lam, .} the module is read from
+    m = cell_module(3, 0, (2, 1))
+    (s,) = [s for s in std_tableaux((2, 1), 1) if s != m.tlam]
+    lift = AlgebraElt(3, {
+        NormalWord(0, IDENTITY, w, IDENTITY): c
+        for w, c in murphy_x(s, m.tlam, m.window).terms.items()
+    })
+    with pytest.raises(CellError, match="left tableau"):
+        m.vector(lift)
+
+
 # ---------------------------------------------------------------------------
 # the action is a representation
 # ---------------------------------------------------------------------------
@@ -416,6 +429,31 @@ def test_filtration_examples():
     r = cell_module(4, 2, ()).filtration_check()
     assert len(r["factors"]) == 1
     assert r["factors"][0]["dim"] == 3
+
+
+def test_filtration_spectrum_reads_the_jm_diagonal(monkeypatch):
+    # a wrong L_2 diagonal entry at the first basis vector must fail the
+    # spectrum of its layer, the first run of self.ud: the last shape of
+    # branching_list
+    m = CellModule(4, 1, (2,))
+    computed = m.jm_matrix
+
+    def planted(k):
+        mat = [list(row) for row in computed(k)]
+        if k == 2:
+            mat[0][0] = mat[0][0] + ONE
+        return mat
+
+    monkeypatch.setattr(m, "jm_matrix", planted)
+    assert not m.check_triangular(2)["ok"]
+    r = m.filtration_check()
+    assert not r["ok"]
+    mus, _ = branching_list(1, (2,), 4)
+    assert [fac["mu"] for fac in r["factors"] if not fac["spectrum_ok"]] == [
+        list(mus[-1])
+    ]
+    assert r["contiguous"] and r["invariance_ok"] and r["total_dim_ok"]
+    assert all(fac["dim_ok"] for fac in r["factors"])
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,6 @@
+import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -112,9 +114,40 @@ def test_quantum_characteristic():
     assert quantum_characteristic(7, 3) == 3
     assert quantum_characteristic(5, 1) == 5
     assert quantum_characteristic(5, 4) == 5  # q0^2 = 16 = 1 mod 5
-    assert quantum_characteristic(7, 2) == quantum_characteristic(7, 2)
+    assert quantum_characteristic(7, 2) == 3  # 4, 2, 1 mod 7
     assert quantum_characteristic(0, 2) == float("inf")
     assert quantum_characteristic(0, Fraction(1, 2)) == float("inf")
+
+
+def test_quantum_characteristic_matches_the_power_walk():
+    def walk(p, q0):
+        q2 = q0 * q0 % p
+        if q2 == 1:
+            return p
+        e, acc = 1, q2
+        while acc != 1:
+            e, acc = e + 1, acc * q2 % p
+        return e
+
+    for p in filter(is_prime, range(400)):
+        for q0 in range(1, p):
+            assert quantum_characteristic(p, q0) == walk(p, q0), (p, q0)
+
+
+def test_quantum_characteristic_at_a_large_prime():
+    # the largest prime NumericPoint accepts, far beyond a walk over the
+    # powers of q0^2; e is the order of 9 = 3^2: it divides p - 1, and no
+    # prime factor of p - 1 can be divided out of it
+    p = 3_317_044_064_679_887_385_961_813
+    assert is_prime(p) and not any(map(is_prime, range(p + 1, co._MR_LIMIT)))
+    factors = (2, 3, 103, 132_408_623, 20_268_261_599_279)
+    assert p - 1 == 2 * math.prod(factors)  # 2 divides twice
+    start = time.perf_counter()
+    e = quantum_characteristic(p, 3)
+    assert time.perf_counter() - start < 1
+    assert (p - 1) % e == 0 and pow(9, e, p) == 1
+    assert all(pow(9, e // r, p) != 1 for r in factors if e % r == 0)
+    assert quantum_characteristic(1_000_000_007, 3) == 500_000_003
 
 
 def test_text_round_trip():

@@ -3,11 +3,13 @@ frozen from the seed program in perfbench/expected/, and the reports in
 tests/golden/: three rank-5 reports frozen before the cell modules
 multiplied through their generator matrices, four Gram and
 semisimplicity reports frozen while Gram matrices were still paired by
-algebra products, and four reports (verify-relations and basis-count at
+algebra products, four reports (verify-relations and basis-count at
 rank 5, a product, semisimple at an integer exponent) frozen while
 verify-relations still replayed the relations through the rewriting
-engine.  Each job runs twice on one cache directory, so the cold and the
-warm pass are both checked byte for byte."""
+engine, and two rank-6 branching reports, C(1, (4)) and C(3, ()), frozen
+while the layer spectra were still compared with a second enumeration of
+up-down tableaux.  Each job runs twice on one cache directory, so the
+cold and the warm pass are both checked byte for byte."""
 
 import os
 
@@ -42,6 +44,8 @@ GOLDEN_JOBS = {
     "basis-count-n5": ["basis-count", "--n", "5"],
     "mul-n3-e1t2-e1": ["mul", "--n", "3", "E1 T2", "E1"],
     "semisimple-n4-z2": ["semisimple", "--n", "4", "--z-exp", "2"],
+    "branching-n6-f1-4": ["branching", "--n", "6", "--f", "1", "--lambda", "[4]"],
+    "branching-n6-f3": ["branching", "--n", "6", "--f", "3", "--lambda", "[]"],
 }
 
 
