@@ -6,10 +6,13 @@ semisimplicity reports frozen while Gram matrices were still paired by
 algebra products, four reports (verify-relations and basis-count at
 rank 5, a product, semisimple at an integer exponent) frozen while
 verify-relations still replayed the relations through the rewriting
-engine, and two rank-6 branching reports, C(1, (4)) and C(3, ()), frozen
+engine, two rank-6 branching reports, C(1, (4)) and C(3, ()), frozen
 while the layer spectra were still compared with a second enumeration of
-up-down tableaux.  Each job runs twice on one cache directory, so the
-cold and the warm pass are both checked byte for byte."""
+up-down tableaux, and the rank-6 semisimple report at a numeric point,
+which builds every rank-6 Gram matrix, frozen while the deficiency-one
+layer still had a Gram rule of its own.  Each job runs twice on one
+cache directory, so the cold and the warm pass are both checked byte for
+byte."""
 
 import os
 
@@ -46,6 +49,7 @@ GOLDEN_JOBS = {
     "semisimple-n4-z2": ["semisimple", "--n", "4", "--z-exp", "2"],
     "branching-n6-f1-4": ["branching", "--n", "6", "--f", "1", "--lambda", "[4]"],
     "branching-n6-f3": ["branching", "--n", "6", "--f", "3", "--lambda", "[]"],
+    "semisimple-n6-numeric": ["semisimple", "--n", "6", "--numeric", "10007,3,9"],
 }
 
 
