@@ -40,7 +40,13 @@ Gram matrices come from the generator matrices too.  The form is invariant,
 <x . a, y> = <x, y . sigma(a)>, and sigma fixes every generator, so with
 basis vector j equal to e_ref . T_{a_1} ... T_{a_m} and sigma(e_ref) =
 e_ref, column j of the Gram matrix is act(a_m) ... act(a_1) applied to the
-column of e_ref (see _gram_from_base).
+column of e_ref.  gram states the pairing rule: the form is the coordinate
+at a reference vector, and _pairing names that vector and the support that
+e_ref's action may reach.
+
+The f = 1 layer with its form phi (VLayer) is built by the same code: a
+subclass with its own basis, reduction without a Murphy quotient, e_ref =
+E_1 and pairing support.
 """
 
 from __future__ import annotations
@@ -68,7 +74,6 @@ from .combinatorics import (
     IDENTITY,
     Partition,
     Perm,
-    StandardTableau,
     UpDownTableau,
     branching_list,
     check_label,
@@ -176,24 +181,6 @@ class _MurphySolver:
         return out
 
 
-def _gram_from_base(act, base: list, words: List[Tuple[int, ...]]) -> list:
-    """Gram matrix of an invariant form on a right module whose basis vector
-    j is e_ref . T_{a_1} ... T_{a_m} with (a_1, ..., a_m) = words[j] and
-    sigma(e_ref) = e_ref: column j is act(T(a_m)) ... act(T(a_1)) . base,
-    where base is the column of e_ref and act(g) is the matrix of the right
-    action of the generator g (row i is the image of basis vector i).  The
-    words share prefixes, so each distinct prefix's column is computed once."""
-    cols = {(): [[x] for x in base]}
-
-    def column(word):
-        col = cols.get(word)
-        if col is None:
-            col = cols[word] = mat_mul(act(T(word[-1])), column(word[:-1]))
-        return col
-
-    return [list(row) for row in zip(*([x for x, in column(w)] for w in words))]
-
-
 def _subtract(target: dict, source: dict, c: Coeff):
     """target -= c * source, in place."""
     c = -c
@@ -243,39 +230,48 @@ class CellModule:
 
     def __init__(self, n: int, f: int, lam: Partition):
         lam = check_label(n, f, lam)
-        self.n = n
-        self.f = f
         self.lam = lam
-        self.window = (2 * f + 1, n)
         self.tlam = superstandard(lam, 2 * f + 1)
-        self.tabs: List[StandardTableau] = std_tableaux(lam, 2 * f + 1)
-        self.reps: List[Perm] = list(coset_reps_D(f, n))
-        self.index = [(t, v) for t in self.tabs for v in self.reps]
-        self.pos = {key: i for i, key in enumerate(self.index)}
-        self.dim = len(self.index)
+        tabs = std_tableaux(lam, 2 * f + 1)
+        self._set_basis(n, f, {t: coset_word(t) for t in tabs})
         # in ud_key order, so Jucys-Murphy actions are upper triangular
         self.ud: List[UpDownTableau] = updown_tableaux(n, lam)
         if len(self.ud) != self.dim:
             raise CellError("up-down tableau count does not match dimension")
-        self._elements: Optional[List[AlgebraElt]] = None
-        self._jm_elements: Optional[List[AlgebraElt]] = None
         self._transition: Optional[list] = None
         self._transition_inv: Optional[list] = None
+
+    def _set_basis(self, n: int, f: int, lefts: Dict[object, Perm]):
+        """The basis (a, v) for a in lefts and v in D_{f,n}, whose vector is
+        e_ref T_{lefts[a]} T_v."""
+        self.n = n
+        self.f = f
+        self.window = (2 * f + 1, n)
+        self._lefts = lefts
+        self.reps: List[Perm] = list(coset_reps_D(f, n))
+        self.index = [(a, v) for a in lefts for v in self.reps]
+        self.pos = {key: i for i, key in enumerate(self.index)}
+        self.dim = len(self.index)
+        self._elements: Optional[List[AlgebraElt]] = None
         self._act_cache: Dict[tuple, list] = {}
         self._gram: Optional[list] = None
 
     # -- lifted basis elements --------------------------------------------
 
+    def _base(self) -> AlgebraElt:
+        """The reference element e_ref = E^f x_lam; sigma fixes it."""
+        return _lift_x_lambda(self.n, self.f, self.lam, self.window)
+
     def _words(self) -> List[Tuple[int, ...]]:
-        """Letters (a_1, ..., a_m) with basis vector (t, v) equal to
-        E^f x_lam T_{a_1} ... T_{a_m}: the word of d(t), then that of v."""
-        return [coset_word(t).word() + v.word() for t, v in self.index]
+        """Letters (a_1, ..., a_m) with basis vector (a, v) equal to
+        e_ref T_{a_1} ... T_{a_m}: the word of lefts[a], then that of v."""
+        return [self._lefts[a].word() + v.word() for a, v in self.index]
 
     def elements(self) -> List[AlgebraElt]:
-        """Lifts E^f x_lam T_{d(t)} T_v of the coset basis vectors."""
+        """Lifts e_ref T_{a_1} ... T_{a_m} of the basis vectors."""
         if self._elements is None:
             eng = get_engine(self.n)
-            base = _lift_x_lambda(self.n, self.f, self.lam, self.window)
+            base = self._base()
             self._elements = [
                 eng.apply_letters(base, [T(i) for i in word])
                 for word in self._words()
@@ -287,23 +283,27 @@ class CellModule:
 
     # -- reduction to coordinates ------------------------------------------
 
-    def vector(self, x: AlgebraElt) -> List[Coeff]:
-        """Coordinates of x modulo the span of bigger cells.
-
-        Any word of deficiency f with a nontrivial left coset part is a
-        reduction failure (right multiplication never produces one)."""
-        f = self.f
-        coords = [ZERO] * self.dim
-        by_d: Dict[Perm, Dict[Perm, Coeff]] = {}
+    def _layer_terms(self, x: AlgebraElt):
+        """The terms (word, c) of x of deficiency f; words of bigger
+        deficiency are dropped.  A word of smaller deficiency, or one with a
+        nontrivial left coset part, is a reduction failure (right
+        multiplication never produces one)."""
         for wd, c in x.terms.items():
-            if wd.f > f:
+            if wd.f > self.f:
                 continue
-            if wd.f < f:
+            if wd.f < self.f:
                 raise CellError(
-                    f"term of deficiency {wd.f} below the cell layer {f}"
+                    f"term of deficiency {wd.f} below the cell layer {self.f}"
                 )
             if not wd.d1.is_identity():
                 raise CellError("unexpected left coset part during reduction")
+            yield wd, c
+
+    def vector(self, x: AlgebraElt) -> List[Coeff]:
+        """Coordinates of x modulo the span of bigger cells."""
+        coords = [ZERO] * self.dim
+        by_d: Dict[Perm, Dict[Perm, Coeff]] = {}
+        for wd, c in self._layer_terms(x):
             by_d.setdefault(wd.d2, {})[wd.w] = c
         for d, terms in by_d.items():
             h = HeckeElt(self.window)
@@ -373,33 +373,53 @@ class CellModule:
     # -- Gram matrix ---------------------------------------------------------
 
     def gram(self) -> list:
-        """Gram matrix of the canonical invariant form: entry (i, j) is the
-        coefficient g with element_i . sigma(element_j) congruent to
-        g . E^f x_lam modulo bigger cells.
+        """Gram matrix of the invariant form: entry (i, j) is the coordinate
+        of element_i . sigma(element_j) at the reference vector, and its
+        coordinates off the support of _pairing vanish.
 
-        The column of e_ref = E^f x_lam comes from the action of e_ref; by
-        linearity, checking there that element_k . e_ref is a multiple of
-        e_ref checks it for every pair."""
+        The form is invariant, <x . a, y> = <x, y . sigma(a)>, and sigma
+        fixes every generator and e_ref, so column j, with element_j equal
+        to e_ref . T_{a_1} ... T_{a_m}, is act(T(a_m)) ... act(T(a_1))
+        applied to the column of e_ref.  The words share prefixes, so each
+        distinct prefix's column is computed once.  The column of e_ref
+        comes from the action of e_ref; by linearity, checking there that
+        each row vanishes off the support checks it for every pair."""
         if self._gram is None:
-            ref = self.pos[(self.tlam, IDENTITY)]
+            ref, support = self._pairing()
             base = []
             for row in self.act_elt(self.element(ref)):
-                if any(c for k, c in enumerate(row) if k != ref):
+                if any(c for k, c in enumerate(row) if k not in support):
                     raise CellError(
-                        "pairing product is not a multiple of the "
-                        "reference basis vector"
+                        "pairing product left the support of the reference "
+                        "basis vector"
                     )
-                base.append(row[ref])
-            self._gram = _gram_from_base(self.act, base, self._words())
+                base.append([row[ref]])
+            cols = {(): base}
+
+            def column(word):
+                col = cols.get(word)
+                if col is None:
+                    col = mat_mul(self.act(T(word[-1])), column(word[:-1]))
+                    cols[word] = col
+                return col
+
+            columns = [[x for x, in column(w)] for w in self._words()]
+            self._gram = [list(row) for row in zip(*columns)]
         return self._gram
+
+    def _pairing(self) -> Tuple[int, set]:
+        """The reference vector e_ref, whose coordinate is the form, and the
+        support of a row of the action of e_ref: e_ref alone, as
+        element_k . e_ref is a multiple of e_ref modulo bigger cells."""
+        ref = self.pos[(self.tlam, IDENTITY)]
+        return ref, {ref}
 
     # -- Jucys-Murphy basis ----------------------------------------------------
 
     def jm_elements(self) -> List[AlgebraElt]:
-        """Lifts m_t of the Jucys-Murphy basis, in the order of self.ud."""
-        if self._jm_elements is None:
-            self._jm_elements = [self._m_elt(t) for t in self.ud]
-        return self._jm_elements
+        """Lifts m_t of the Jucys-Murphy basis, in the order of self.ud (not
+        cached: transition keeps their coordinates)."""
+        return [self._m_elt(t) for t in self.ud]
 
     def _m_elt(self, t: UpDownTableau) -> AlgebraElt:
         """m_t by the path recursion: adding a box at row k left-multiplies by
@@ -616,102 +636,56 @@ def y_element(f: int, lam, mu, n: int) -> AlgebraElt:
 # ---------------------------------------------------------------------------
 
 
-class VLayer:
-    """The free module on {E_1 T_w T_d} with w on the letters 3..n and d in
-    D_{1,n}, carrying a right action of the whole algebra and the bilinear
-    form phi(x, y) = identity coefficient of h with x sigma(y) = E_1 h."""
+class VLayer(CellModule):
+    """The f = 1 layer: the module on {E_1 T_w T_d} with w on the letters
+    3..n and d in D_{1,n}, modulo deficiency 2, carrying a right action of
+    the whole algebra and the bilinear form phi(x, y) = identity coefficient
+    of h with x sigma(y) = E_1 h.  It is built by the cell-module code with
+    e_ref = E_1, every w of the window in place of the tableaux of a shape,
+    and no Murphy quotient; it has no Jucys-Murphy basis."""
 
     def __init__(self, n: int):
         if n < 2:
             raise CellError("the f=1 layer needs n >= 2")
-        self.n = n
-        self.ws = sorted(window_perms(3, n), key=lambda w: (w.length(), w.word()))
-        self.reps = list(coset_reps_D(1, n))
-        self.index = [(w, d) for w in self.ws for d in self.reps]
-        self.pos = {
-            NormalWord(1, IDENTITY, w, d): i
-            for i, (w, d) in enumerate(self.index)
-        }
-        self.dim = len(self.index)
-        self._elements: Optional[List[AlgebraElt]] = None
-        self._act_cache: Dict[tuple, list] = {}
-        self._gram: Optional[list] = None
+        ws = sorted(window_perms(3, n), key=lambda w: (w.length(), w.word()))
+        self._set_basis(n, 1, {w: w for w in ws})
 
-    def _words(self) -> List[Tuple[int, ...]]:
-        """Letters (a_1, ..., a_m) with basis vector (w, d) equal to
-        E_1 T_{a_1} ... T_{a_m}: the word of w, then that of d."""
-        return [w.word() + d.word() for w, d in self.index]
-
-    def elements(self) -> List[AlgebraElt]:
-        if self._elements is None:
-            self._elements = [
-                elt_from_letters([E1] + [T(i) for i in word], self.n)
-                for word in self._words()
-            ]
-        return self._elements
+    def _base(self) -> AlgebraElt:
+        return elt_from_letters([E1], self.n)
 
     def vector(self, x: AlgebraElt) -> List[Coeff]:
+        """Coordinates of x modulo deficiency 2, with no Murphy quotient."""
         coords = [ZERO] * self.dim
-        for wd, c in x.terms.items():
-            if wd.f >= 2:
-                continue
-            if wd.f == 0:
-                raise CellError("the f=1 layer is not closed: deficiency 0 term")
-            if not wd.d1.is_identity():
-                raise CellError("unexpected left coset part in the f=1 layer")
-            coords[self.pos[NormalWord(1, IDENTITY, wd.w, wd.d2)]] += c
+        for wd, c in self._layer_terms(x):
+            coords[self.pos[(wd.w, wd.d2)]] += c
         return coords
 
-    def act(self, g) -> list:
-        """Matrix of the right action of a generator letter; row i is the
-        image of basis vector i."""
-        key = tuple(g)
-        if key not in self._act_cache:
-            self._act_cache[key] = [
-                self.vector(right_mul_gen(e, g)) for e in self.elements()
-            ]
-        return self._act_cache[key]
-
-    def gram(self) -> list:
-        """Entry (i, j) is phi(x_i, x_j).  The column of E_1 comes from
-        x_k . E_1 = E_1 h_k, whose identity coefficient is phi(x_k, E_1); by
-        linearity, checking there that E_1 h_k stays in the Hecke window
-        checks it for every pair."""
-        if self._gram is None:
-            ref = self.pos[NormalWord(1, IDENTITY, IDENTITY, IDENTITY)]
-            base = []
-            outside = [not d.is_identity() for _, d in self.index]
-            for row in self.act(E1):
-                if any(c for c, out in zip(row, outside) if out):
-                    raise CellError("sandwiched product left the Hecke window")
-                base.append(row[ref])
-            self._gram = _gram_from_base(self.act, base, self._words())
-        return self._gram
-
-
-def coeff_is_z_free(c: Coeff) -> bool:
-    return all(j == 0 for (_, j) in c.num) and all(j == 0 for (_, j) in c.den)
+    def _pairing(self) -> Tuple[int, set]:
+        """phi reads the identity coefficient of h in x . E_1 = E_1 h, so a
+        row of the action of E_1 may be nonzero at every (w, 1)."""
+        support = {i for i, (_, d) in enumerate(self.index) if d.is_identity()}
+        return self.pos[(IDENTITY, IDENTITY)], support
 
 
 def v_form_entry_shapes(n: int) -> dict:
     """Check the predicted entry shapes of the f=1 form: diagonal entries are
-    delta plus (q - q^{-1}) z (Laurent in q); off-diagonal entries are z
-    times a Laurent polynomial in q alone."""
+    delta plus (q - q^{-1}) z times a Laurent polynomial in q; off-diagonal
+    entries are z times a Laurent polynomial in q."""
+
+    def laurent_in_q(c: Coeff) -> bool:
+        return c.den == {(0, 0): 1} and all(j == 0 for _, j in c.num)
+
     g = VLayer(n).gram()
-    diag_ok = True
-    off_ok = True
-    for i in range(len(g)):
-        for j in range(len(g)):
-            if i == j:
-                rest = (g[i][j] - DELTA) / (A * Z) if g[i][j] != DELTA else ZERO
-                if rest and not coeff_is_z_free(rest):
-                    diag_ok = False
-            else:
-                if g[i][j]:
-                    rest = g[i][j] / Z
-                    if not coeff_is_z_free(rest):
-                        off_ok = False
-    return {"n": n, "diagonal_ok": diag_ok, "off_diagonal_ok": off_ok}
+    entries = [(i == j, x) for i, row in enumerate(g) for j, x in enumerate(row)]
+    return {
+        "n": n,
+        "diagonal_ok": all(
+            laurent_in_q((x - DELTA) / (A * Z)) for diag, x in entries if diag
+        ),
+        "off_diagonal_ok": all(
+            laurent_in_q(x / Z) for diag, x in entries if not diag
+        ),
+    }
 
 
 # ---------------------------------------------------------------------------

@@ -374,10 +374,14 @@ class Coeff:
         return bool(self.num)
 
     def __hash__(self):
+        # an integer constant equals its int, so it hashes as that int
         if self._hash is None:
-            self._hash = hash(
-                (frozenset(self.num.items()), frozenset(self.den.items()))
-            )
+            if self.den == _UNIT and self.num.keys() <= {(0, 0)}:
+                self._hash = hash(self.num.get((0, 0), 0))
+            else:
+                self._hash = hash(
+                    (frozenset(self.num.items()), frozenset(self.den.items()))
+                )
         return self._hash
 
     def __eq__(self, other):
@@ -608,7 +612,8 @@ def is_prime(p: int) -> bool:
 class Fp:
     """Element of the prime field Z/p, the value of a coefficient at a
     NumericPoint of characteristic p.  It mixes with an Fp of the same p and
-    with int; its str is the representative in [0, p)."""
+    with int; it equals an int only when that int is its representative in
+    [0, p), which is also its str."""
 
     __slots__ = ("v", "p")
 
@@ -663,12 +668,13 @@ class Fp:
         return self.v != 0
 
     def __eq__(self, other):
+        # an int is equal only as the representative, so equal values hash equal
         if isinstance(other, int):
-            return self.v == other % self.p
+            return self.v == other
         return isinstance(other, Fp) and self.p == other.p and self.v == other.v
 
     def __hash__(self):
-        return hash((self.v, self.p))
+        return hash(self.v)
 
     def __str__(self):
         return str(self.v)

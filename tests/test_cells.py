@@ -45,6 +45,8 @@ from qbrauer.coefficients import (
     NumericPoint,
     ONE,
     Q,
+    QINV,
+    Z,
     ZERO,
     specialize,
 )
@@ -637,6 +639,18 @@ def test_v_form_entry_shapes():
         r = v_form_entry_shapes(n)
         assert r["diagonal_ok"], r
         assert r["off_diagonal_ok"], r
+
+
+def test_v_form_entry_shapes_refuse_a_denominator(monkeypatch):
+    def shapes_of(off):
+        planted = [[DELTA + A * off, off], [off, DELTA]]
+        monkeypatch.setattr(VLayer, "gram", lambda self: planted)
+        r = v_form_entry_shapes(3)
+        return r["diagonal_ok"], r["off_diagonal_ok"]
+
+    # z/(q^2 + 1) is z-free after dividing by z, but no Laurent polynomial
+    assert shapes_of(Z / (Q * Q + ONE)) == (False, False)
+    assert shapes_of(Z * (Q + QINV)) == (True, True)
 
 
 def test_v_form_gram_dimensions():

@@ -208,6 +208,25 @@ def test_int_interop():
     assert 2 * ONE / 2 == ONE
 
 
+def test_coeff_equal_to_an_int_hashes_as_that_int():
+    for k in (0, 1, -1, 2, -7, 10**20):
+        c = Coeff.from_int(k)
+        assert c == k and hash(c) == hash(k), k
+        assert k in {c} and c in {k}, k
+    assert 1 in {ONE} and 0 in {ZERO} and 2 in {ONE + ONE}
+    # a constant that is no integer, and a monomial, equal no int
+    assert ONE / 2 != 0 and ONE / 2 != 1 and Q != 1
+
+
+def test_fp_equals_only_its_representative():
+    x = Fp(3, 7)
+    assert x == 3 and hash(x) == hash(3) and 3 in {x} and x in {3}
+    assert x != 10 and x != -4 and 10 not in {x}
+    assert Fp(10, 7) == x and hash(Fp(10, 7)) == hash(x)
+    assert Fp(0, 7) == 0 and 0 in {Fp(0, 7)} and Fp(-1, 7) == 6
+    assert specialize(DELTA, NumericPoint(7, 3, 2)) == 1
+
+
 def _pgcd_canonical(num, den):
     """Reference canonical form: the bivariate gcd for every denominator."""
     mi, mj = co._pmin_exps(den)
