@@ -408,9 +408,10 @@ class CellModule:
         return self._gram
 
     def _pairing(self) -> Tuple[int, set]:
-        """The reference vector e_ref, whose coordinate is the form, and the
-        support of a row of the action of e_ref: e_ref alone, as
-        element_k . e_ref is a multiple of e_ref modulo bigger cells."""
+        """The index of the reference vector e_ref, where gram reads the
+        form, and the indices where a row of the action of e_ref may be
+        nonzero: e_ref's alone, as element_k . e_ref is a multiple of e_ref
+        modulo bigger cells."""
         ref = self.pos[(self.tlam, IDENTITY)]
         return ref, {ref}
 
