@@ -10,7 +10,10 @@ engine, two rank-6 branching reports, C(1, (4)) and C(3, ()), frozen
 while the layer spectra were still compared with a second enumeration of
 up-down tableaux, and the rank-6 semisimple report at a numeric point,
 which builds every rank-6 Gram matrix, frozen while the deficiency-one
-layer still had a Gram rule of its own.  Each job runs twice on one
+layer still had a Gram rule of its own, and three rank-6 reports, the
+scan, semisimple at z = q^4 and the Jucys-Murphy spectrum of
+C(1, (2,1,1)), frozen while elimination still took the first nonzero
+entry of a column as its pivot.  Each job runs twice on one
 cache directory, so the cold and the warm pass are both checked byte for
 byte."""
 
@@ -50,6 +53,11 @@ GOLDEN_JOBS = {
     "branching-n6-f1-4": ["branching", "--n", "6", "--f", "1", "--lambda", "[4]"],
     "branching-n6-f3": ["branching", "--n", "6", "--f", "3", "--lambda", "[]"],
     "semisimple-n6-numeric": ["semisimple", "--n", "6", "--numeric", "10007,3,9"],
+    "scan-n6": ["scan", "--n", "6"],
+    "semisimple-n6-z4": ["semisimple", "--n", "6", "--z-exp", "4"],
+    "jm-spectrum-n6-f1-2-1-1": [
+        "jm-spectrum", "--n", "6", "--f", "1", "--lambda", "[2,1,1]"
+    ],
 }
 
 
