@@ -22,11 +22,11 @@ certified diagonal of L_1 ... L_{n-1} (filtration_check).
 Reduction algorithm (vector): after multiplying a lifted basis element by a
 generator, drop all words of deficiency > f, group the remaining words by
 their right coset part d, expand each group in the Murphy basis of the
-Hecke algebra on the window letters, discard the components above lam in
-dominance (they lie in the span of bigger cells), and keep the coefficient
-of x_{t^lam, t} T_d as the coordinate at (t, d).  A component of shape lam
-whose left tableau is not t^lam means the element left the row
-x_{t^lam, .}, and is refused.
+Hecke algebra on the window letters, discard the components of a shape
+mu != lam that dominates lam (bigger cells), refuse any other mu != lam,
+and keep the coefficient of x_{t^lam, t} T_d as the coordinate at (t, d).
+A component of shape lam whose left tableau is not t^lam means the
+element left the row x_{t^lam, .}, and is refused.
 
 Element actions: a cell module is a right module, so the coordinates of
 x . y are the coordinates of x times the matrix of y, and the matrix of a
@@ -81,7 +81,8 @@ from .combinatorics import (
     coset_reps_D,
     coset_word,
     ct_eigenvalue,
-    dominance,
+    dominates,
+    label_key,
     partitions,
     seg_word,
     shape_diff,
@@ -310,7 +311,7 @@ class CellModule:
             h.terms = dict(terms)
             for (mu, sx, tx), c in murphy_expand(h).items():
                 if mu != self.lam:
-                    if dominance(mu, self.lam) == "gt":
+                    if dominates(mu, self.lam):
                         continue  # strictly bigger cell
                     raise CellError(
                         f"reduction escaped the cell ideal: component {mu} "
@@ -516,7 +517,7 @@ class CellModule:
         subalgebra, and its spectrum: the diagonal of L_1 ... L_{n-1} that
         check_triangular certifies has no failure in its rows."""
         n, f, lam = self.n, self.f, self.lam
-        mus, split = branching_list(f, lam, n)
+        mus = branching_list(f, lam, n)
         runs: List[Tuple[Partition, range]] = []
         for mu, run in groupby(self.ud, key=lambda t: t.shapes[n - 1]):
             start = runs[-1][1].stop if runs else 0
@@ -531,8 +532,8 @@ class CellModule:
         }
 
         factors = []
-        for j, mu in enumerate(mus):
-            ell = f if j < split else f - 1
+        for mu in mus:
+            ell = label_key(n - 1, mu)[0]
             rows = layers.get(mu, range(0))
             factors.append(
                 {

@@ -61,9 +61,9 @@ EXIT_MATH = 1
 EXIT_USAGE = 2
 EXIT_ENV = 3
 
-# the bound on |gram --z-exp|: entries at z = q^a span about |a| powers of q,
-# and the polynomial gcd sizes dense rows by that span (a row of 10^20 terms
-# cannot even be allocated)
+# the bound on every exponent flag: entries at z = q^a span about |a| powers
+# of q, and the polynomial gcd sizes dense rows by that span (a row of 10^9
+# terms cannot be allocated)
 MAX_Z_EXP = 10**6
 
 
@@ -470,23 +470,21 @@ def _parser():
 
     command("verify-relations", verify_relations, 2, 5)
 
-    sub = label(command("gram", gram, 1))
     z_exp = _int_in(-MAX_Z_EXP, MAX_Z_EXP)
-    sub.add_argument(
-        "--z-exp", type=z_exp, default=None, help=f"specialize z = q^a, {z_exp.bounds}"
-    )
+    sub = label(command("gram", gram, 1))
+    sub.add_argument("--z-exp", type=z_exp, help=f"specialize z = q^a, {z_exp.bounds}")
     sub.add_argument("--numeric", default=None, help=numeric_help)
 
     label(command("jm-spectrum", jm_spectrum, 1))
     label(command("branching", branching, 1))
 
     sub = command("scan", scan_cmd, 2)
-    sub.add_argument("--from", dest="a_min", type=int, default=None)
-    sub.add_argument("--to", dest="a_max", type=int, default=None)
+    sub.add_argument("--from", dest="a_min", type=z_exp, help=z_exp.bounds)
+    sub.add_argument("--to", dest="a_max", type=z_exp, help=z_exp.bounds)
     sub.add_argument("--seed", type=int, default=DEFAULT_SEED, help="default: %(default)s")
 
     sub = command("semisimple", semisimple_cmd, 2)
-    sub.add_argument("--z-exp", type=int, default=None, help="relation z = q^a, generic q")
+    sub.add_argument("--z-exp", type=z_exp, help=f"z = q^a, generic q, {z_exp.bounds}")
     sub.add_argument("--numeric", default=None, help=numeric_help)
 
     sub = command("mul", mul_cmd, 2)

@@ -11,7 +11,7 @@ Conventions fixed here and used everywhere:
     partition is ().
   * A shape lam at level k of an up-down tableau is the label (f, lam) with
     deficiency f = (k - |lam|)/2.  At a fixed level, larger f is strictly
-    larger (the bigger cell) and equal f compares by dominance; label_key
+    larger (the bigger cell) and equal f compares by dominates; label_key
     refines this to a total order.  branching_list gives the neighbours of
     a label one level down, and the up-down tableaux of lam are the paths
     of that branching graph from lam to the empty partition;
@@ -223,39 +223,25 @@ def is_partition(lam: Sequence[int]) -> bool:
     return all(p > 0 for p in lam) and all(a >= b for a, b in zip(lam, lam[1:]))
 
 
-def dominance(lam: Partition, mu: Partition) -> str:
-    """'gt' if lam strictly dominates mu, 'lt', 'eq', or 'inc'."""
-    if sum(lam) != sum(mu):
-        raise CombinatoricsError("dominance needs equal sizes")
-    if lam == mu:
-        return "eq"
-    ge = le = True
-    a = b = 0
-    for k in range(max(len(lam), len(mu))):
-        a += lam[k] if k < len(lam) else 0
-        b += mu[k] if k < len(mu) else 0
-        if a < b:
-            ge = False
-        if a > b:
-            le = False
-    if ge:
-        return "gt"
-    if le:
-        return "lt"
-    return "inc"
-
-
 CellLabel = Tuple[int, Partition]
 
 
 def dominance_key(lam: Partition):
-    """Total-order key refining dominance (descending partial sums, then lex)."""
+    """The partial sums of lam, padded to length |lam|: dominates compares
+    them entry by entry, and as a sort key they refine that order."""
     acc, out = 0, []
     for p in lam:
         acc += p
         out.append(acc)
-    # pad so comparisons are well-defined across lengths
     return tuple(out) + (acc,) * (sum(lam) - len(out))
+
+
+def dominates(lam: Partition, mu: Partition) -> bool:
+    """Whether lam is at or above mu, two partitions of one size: no
+    partial sum of lam is below that of mu."""
+    if sum(lam) != sum(mu):
+        raise CombinatoricsError("dominates needs equal sizes")
+    return all(a >= b for a, b in zip(dominance_key(lam), dominance_key(mu)))
 
 
 def label_key(k: int, lam: Partition):
@@ -480,22 +466,18 @@ def config_to_rep(f: int, n: int) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def branching_list(
-    f: int, lam: Partition, n: int
-) -> Tuple[List[Partition], int]:
+def branching_list(f: int, lam: Partition, n: int) -> List[Partition]:
     """Ordered restriction list for the label (f, lam) of the rank-n algebra:
     the shapes at rank n-1 reached by removing a box (labels (f, .)) and,
     when f > 0, by adding one (labels (f-1, .)), by label_key(n-1, .)
-    descending, so removals come first.  Returns (list, number of
-    removals)."""
+    descending, so removals come first."""
     lam = check_label(n, f, lam)
     removable, addable = nodes(lam)
     mus = [remove_node(lam, p) for p in removable]
-    split = len(mus)
     if f:
         mus += [add_node(lam, p) for p in addable]
     mus.sort(key=lambda mu: label_key(n - 1, mu), reverse=True)
-    return mus, split
+    return mus
 
 
 # ---------------------------------------------------------------------------
@@ -555,7 +537,7 @@ def updown_tableaux(n: int, lam: Partition) -> List[UpDownTableau]:
         paths = [
             (mu,) + p
             for p in paths
-            for mu in reversed(branching_list((k - sum(p[0])) // 2, p[0], k)[0])
+            for mu in reversed(branching_list((k - sum(p[0])) // 2, p[0], k))
         ]
     return [UpDownTableau(p) for p in paths]
 
@@ -573,7 +555,7 @@ def ud_dominates(s: UpDownTableau, t: UpDownTableau) -> bool:
         raise CombinatoricsError("paths must share their length")
     for k, (a, b) in enumerate(zip(s.shapes, t.shapes)):
         fa, fb = label_key(k, a)[0], label_key(k, b)[0]
-        if fa < fb or (fa == fb and dominance(a, b) in ("lt", "inc")):
+        if fa < fb or (fa == fb and not dominates(a, b)):
             return False
     return True
 

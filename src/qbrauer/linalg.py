@@ -49,8 +49,8 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
 
 
 def _echelon(m: Matrix) -> Tuple[Matrix, int, list]:
-    """Row echelon form of a copy of m by exact elimination; returns (rows,
-    swaps, pivot columns)."""
+    """Row echelon form of a copy of m, each pivot the entry with the fewest
+    terms in its column; returns (rows, swaps, pivot columns)."""
     rows = [list(r) for r in m]
     for r in rows:
         for x in r:
@@ -64,9 +64,15 @@ def _echelon(m: Matrix) -> Tuple[Matrix, int, list]:
     for c in range(ncols):
         if r == nrows:
             break
-        pr = next((i for i in range(r, nrows) if rows[i][c]), None)
-        if pr is None:
+        # pivot: fewest terms (a Coeff's num and den; others all tie), first row on a tie
+        weights = {
+            i: len(getattr(x, "num", ())) + len(getattr(x, "den", ()))
+            for i in range(r, nrows)
+            if (x := rows[i][c])
+        }
+        if not weights:
             continue
+        pr = min(weights, key=weights.get)
         if pr != r:
             rows[r], rows[pr] = rows[pr], rows[r]
             swaps += 1

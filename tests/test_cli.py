@@ -574,6 +574,24 @@ def test_gram_refuses_a_huge_exponent(a):
     assert "Traceback" not in res.output
 
 
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["semisimple", "--n", "2", "--z-exp", "1073741823"], "--z-exp"),
+        (["scan", "--n", "2", "--from", "1073741823", "--to", "1073741823"], "--from"),
+        (["scan", "--n", "2", "--to", "1073741823", "--from", "1073741823"], "--to"),
+    ],
+    ids=["semisimple-z-exp", "scan-from", "scan-to"],
+)
+def test_exponent_flags_refuse_a_huge_exponent(argv, flag):
+    # at a = 2^30 - 1 every prescreen point mod 2^31 - 1 has z0^2 = 1, and
+    # the symbolic determinant at z = q^a would size rows by about 10^9 terms
+    res = run(*argv)
+    assert res.exit_code == 2, res.output
+    assert f"argument {flag}: 1073741823 is not in the range" in res.stderr
+    assert "Traceback" not in res.output
+
+
 def test_gram_takes_a_moderate_exponent():
     res = run("gram", "--n", "3", "--f", "1", "--lambda", "[1]", "--z-exp", "50")
     assert res.exit_code == 0, res.output

@@ -17,7 +17,9 @@ from qbrauer.combinatorics import (
     coset_word,
     ct_eigenvalue,
     d_config,
-    dominance,
+    dominance_key,
+    dominates,
+    label_key,
     labels,
     nodes,
     partitions,
@@ -92,12 +94,32 @@ def test_window_perms():
     assert all(w.supported_in(2, 4) for w in ws)
 
 
-def test_dominance():
-    assert dominance((2, 1), (1, 1, 1)) == "gt"
-    assert dominance((3, 3), (4, 1, 1)) == "inc"
-    assert dominance((2, 2), (2, 2)) == "eq"
+def test_dominates():
+    assert dominates((2, 1), (1, 1, 1)) and not dominates((1, 1, 1), (2, 1))
+    # (3, 3) has the larger second partial sum, (4, 1, 1) the larger first
+    assert not dominates((3, 3), (4, 1, 1)) and not dominates((4, 1, 1), (3, 3))
+    assert dominates((2, 2), (2, 2))
     with pytest.raises(CombinatoricsError):
-        dominance((2,), (1, 1, 1))
+        dominates((2,), (1, 1, 1))
+
+
+def conjugate(lam):
+    return tuple(sum(1 for p in lam if p > c) for c in range(lam[0] if lam else 0))
+
+
+def test_dominates_is_a_partial_order_reversed_by_conjugation():
+    for d in range(8):
+        lams = partitions(d)
+        above = {(a, b) for a in lams for b in lams if dominates(a, b)}
+        for a in lams:
+            assert (a, a) in above
+            for b in lams:
+                assert ((a, b) in above) == dominates(conjugate(b), conjugate(a))
+        for a, b in above:
+            # dominance_key refines the order
+            assert dominance_key(a) >= dominance_key(b)
+            assert a == b or (b, a) not in above
+            assert all((a, c) in above for c in lams if (b, c) in above)
 
 
 def apply_to_tableau(t, w):
@@ -192,14 +214,17 @@ def test_configs_bijective():
 
 
 def test_branching_list():
-    bl, a = branching_list(1, (2,), 4)
-    assert bl == [(1,), (3,), (2, 1)] and a == 1
-    bl, a = branching_list(0, (1, 1), 2)
-    assert bl == [(1,)] and a == 1
-    bl, a = branching_list(1, (), 2)
-    assert bl == [(1,)] and a == 0
+    def levels(bl, k):
+        return [label_key(k, mu)[0] for mu in bl]
+
+    bl = branching_list(1, (2,), 4)
+    assert bl == [(1,), (3,), (2, 1)] and levels(bl, 3) == [1, 0, 0]
+    bl = branching_list(0, (1, 1), 2)
+    assert bl == [(1,)] and levels(bl, 1) == [0]
+    bl = branching_list(1, (), 2)
+    assert bl == [(1,)] and levels(bl, 1) == [0]
     # last entry is always the new-row addition when f > 0
-    bl, a = branching_list(1, (2, 1), 5)
+    bl = branching_list(1, (2, 1), 5)
     assert bl[-1] == (2, 1, 1)
     with pytest.raises(CombinatoricsError):
         branching_list(1, (2,), 5)
@@ -220,7 +245,7 @@ def test_updown_counts():
                 for t in paths:
                     for k in range(1, n + 1):
                         up = t.shapes[k]
-                        down = branching_list((k - sum(up)) // 2, up, k)[0]
+                        down = branching_list((k - sum(up)) // 2, up, k)
                         assert t.shapes[k - 1] in down
 
 
@@ -239,12 +264,12 @@ def test_ud_dominates_examples():
     s1 = UpDownTableau([(), (1,), (2,), (1,)])
     t1 = UpDownTableau([(), (1,), (1, 1), (1,)])
     u1 = UpDownTableau([(), (1,), (), (1,)])
-    # same deficiency at level 2: dominance decides
+    # same deficiency at level 2: dominates decides
     assert ud_dominates(s1, t1) and not ud_dominates(t1, s1)
     # a larger deficiency at level 2 is above
     assert ud_dominates(u1, s1) and not ud_dominates(s1, u1)
     assert ud_dominates(s1, s1)
-    # above at level 3 by deficiency, below at level 2 by dominance
+    # above at level 3 by deficiency, below at level 2 by dominates
     x = UpDownTableau([(), (1,), (1, 1), (1,), (2,)])
     y = UpDownTableau([(), (1,), (2,), (3,), (2,)])
     assert not ud_dominates(x, y) and not ud_dominates(y, x)

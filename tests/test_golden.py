@@ -13,9 +13,9 @@ which builds every rank-6 Gram matrix, frozen while the deficiency-one
 layer still had a Gram rule of its own, and three rank-6 reports, the
 scan, semisimple at z = q^4 and the Jucys-Murphy spectrum of
 C(1, (2,1,1)), frozen while elimination still took the first nonzero
-entry of a column as its pivot.  Each job runs twice on one
-cache directory, so the cold and the warm pass are both checked byte for
-byte."""
+entry of a column as its pivot (marked slow: about 20 s together on a
+2-core host).  Each job runs twice on one cache directory, so the cold
+and the warm pass are both checked byte for byte."""
 
 import os
 
@@ -59,6 +59,7 @@ GOLDEN_JOBS = {
         "jm-spectrum", "--n", "6", "--f", "1", "--lambda", "[2,1,1]"
     ],
 }
+SLOW_JOBS = {"scan-n6", "semisimple-n6-z4", "jm-spectrum-n6-f1-2-1-1"}
 
 
 def check_report(path, argv, cache_dir, monkeypatch):
@@ -77,7 +78,13 @@ def test_report_is_byte_identical(name, tmp_path, monkeypatch):
     check_report(path, JOBS[name], tmp_path, monkeypatch)
 
 
-@pytest.mark.parametrize("name", sorted(GOLDEN_JOBS))
+@pytest.mark.parametrize(
+    "name",
+    [
+        pytest.param(name, marks=pytest.mark.slow) if name in SLOW_JOBS else name
+        for name in sorted(GOLDEN_JOBS)
+    ],
+)
 def test_rank_five_report_is_byte_identical(name, tmp_path, monkeypatch):
     path = os.path.join(GOLDEN, name + ".json")
     check_report(path, GOLDEN_JOBS[name], tmp_path, monkeypatch)

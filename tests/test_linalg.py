@@ -1,7 +1,9 @@
 """Property tests of the exact linear algebra over F_7, F_10007 and Q, on
 matrices up to 4x4, against definitions: the Leibniz determinant, A^-1 A = I,
 rank(A) = rank(A^T), the left kernel, row-span membership and the naive
-triple-loop product."""
+triple-loop product.  Over Q(q) the determinant and the inverse are checked
+on Laurent polynomials of unequal term counts, where the pivot with the
+fewest terms is often not the first nonzero entry of its column."""
 
 from fractions import Fraction
 from itertools import permutations
@@ -9,9 +11,10 @@ from itertools import permutations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qbrauer.coefficients import Fp
+from qbrauer.coefficients import ONE, Q, ZERO, Fp
 from qbrauer.linalg import (
     LinAlgError,
+    _echelon,
     in_row_span,
     kernel_basis,
     mat_det,
@@ -108,6 +111,42 @@ def test_inverse_times_matrix_is_identity_or_singular(arg):
         return
     ident = [[field(int(i == j)) for j in range(n)] for i in range(n)]
     assert naive_mul(mat_inverse(m), m, field) == ident
+
+
+@st.composite
+def laurent_matrices(draw):
+    n = draw(dims)
+    terms = st.lists(st.tuples(numerators, st.integers(-2, 2)), max_size=3)
+    return [
+        [sum((c * Q**e for c, e in draw(terms)), ZERO) for _ in range(n)]
+        for _ in range(n)
+    ]
+
+
+def coeff(k):
+    return k * ONE
+
+
+@settings(deadline=None, max_examples=60)
+@given(laurent_matrices())
+def test_det_and_inverse_over_q_of_q_follow_the_definitions(m):
+    det = mat_det(m)
+    assert det == leibniz(m, coeff)
+    if det:
+        ident = [[coeff(int(i == j)) for j in range(len(m))] for i in range(len(m))]
+        assert naive_mul(mat_inverse(m), m, coeff) == ident
+
+
+def test_elimination_pivots_on_the_entry_with_the_fewest_terms():
+    # q + 1 has three terms (two over one) and 1 has two, so row 1 is the
+    # pivot of column 0, and its swap flips the determinant's sign
+    m = [[Q + ONE, ONE], [ONE, ZERO]]
+    rows, swaps, pivots = _echelon(m)
+    assert rows[0] == [ONE, ZERO] and swaps == 1 and pivots == [0, 1]
+    assert mat_det(m) == -ONE
+    # F_p entries all tie, and a tie keeps the first nonzero row
+    rows, swaps, _ = _echelon([[Fp(0, 7)], [Fp(3, 7)], [Fp(1, 7)]])
+    assert rows[0] == [Fp(3, 7)] and swaps == 1
 
 
 @property_test
