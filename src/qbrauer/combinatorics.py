@@ -11,10 +11,10 @@ Conventions fixed here and used everywhere:
     partition is ().
   * A shape lam at level k of an up-down tableau is the label (f, lam) with
     deficiency f = (k - |lam|)/2.  At a fixed level, larger f is strictly
-    larger (the bigger cell) and equal f compares by dominates; label_key
-    refines this to a total order.  branching_list gives the neighbours of
-    a label one level down, and the up-down tableaux of lam are the paths
-    of that branching graph from lam to the empty partition;
+    larger (the bigger cell) and equal f compares shapes by dominates;
+    label_key refines this to a total order.  branching_list gives the
+    neighbours of a label one level down, and the up-down tableaux of lam
+    are the paths of that branching graph from lam to the empty partition;
     updown_tableaux lists them in ud_key order.  Up-down tableaux are
     ordered levelwise, s above t when s_k is at or above t_k at every level
     k (ud_dominates), and ud_key refines that order.  The Jucys-Murphy
