@@ -28,7 +28,7 @@ by the two):
 Left multiplication is reduced to right multiplication through the
 anti-involution sigma, which acts on basis words by an exact flip
 (f, d1, w, d2) -> (f, d2, w^{-1}, d1).  Products in the Hecke algebra of
-S_n (the quadratic rule) are expanded by hecke.HeckeElt.mul_gen, also on
+S_n (the quadratic rule) are expanded by hecke.mul_gen, also on
 the left, through the anti-automorphism star; the merge anchor of sand is
 one such product, of inverse letters (Engine._merge_anchor).
 
@@ -87,7 +87,7 @@ from .combinatorics import (
     seg_word,
     window_perms,
 )
-from .hecke import HeckeElt
+from .hecke import mul_gen, star
 
 
 class AlgebraError(ValueError):
@@ -323,10 +323,10 @@ class Engine:
         """Expand T_{l1} ... T_{lk} . T_rest in the Hecke algebra of S_n as a
         combination of T_u, for letters = [(l, inverse?)], as the image under
         the anti-automorphism star of T_{rest^-1} . T_{lk} ... T_{l1}."""
-        h = HeckeElt((1, self.n), {rest.inv(): ONE})
+        h = {rest.inv(): ONE}
         for i, inverse in reversed(letters):
-            h = h.mul_gen(i, inverse)
-        return h.star().terms
+            h = mul_gen(h, i, (1, self.n), inverse)
+        return star(h)
 
     # -- sand: E^f T_v E_1 ---------------------------------------------------------
 
@@ -426,8 +426,7 @@ class Engine:
         assert u.length() == w.length() + d2.length(), (x,)
         if g[0] == "T":
             out: Dict[NormalWord, Coeff] = {}
-            pieces = HeckeElt((1, n), {u: ONE}).mul_gen(g[1])
-            for u2, c in pieces.terms.items():
+            for u2, c in mul_gen({u: ONE}, g[1], (1, n)).items():
                 for (omega, dd), c2 in self.reduce(f, u2).items():
                     add_term(out, NormalWord(f, d1, omega, dd), c * c2)
             r = AlgebraElt(n)

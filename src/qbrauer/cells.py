@@ -92,7 +92,7 @@ from .combinatorics import (
     updown_tableaux,
     window_perms,
 )
-from .hecke import HeckeElt, murphy_x, x_lambda
+from .hecke import murphy_x, x_lambda
 from .algebra import (
     AlgebraElt,
     E1,
@@ -141,13 +141,13 @@ class _MurphySolver:
         for lam in partitions(m):
             for sx in std_tableaux(lam, lo):
                 for tx in std_tableaux(lam, lo):
-                    x = murphy_x(sx, tx, window)
-                    self._insert((lam, sx, tx), dict(x.terms))
+                    self._insert((lam, sx, tx), murphy_x(sx, tx, window))
                     count += 1
         if count != math.factorial(max(m, 0)) or len(self.pivots) != count:
             raise CellError("Murphy elements do not form a basis of the window")
 
     def _insert(self, key: tuple, col: Dict[Perm, Coeff]):
+        # col is reduced in place: the caller hands over a dict of its own
         combo: Dict[tuple, Coeff] = {key: ONE}
         # reduce against existing pivots
         for p, (pcol, pcombo) in self.pivots.items():
@@ -163,13 +163,13 @@ class _MurphySolver:
         combo = {k: c * inv for k, c in combo.items()}
         self.pivots[pivot] = (col, combo)
 
-    def expand(self, h: HeckeElt) -> Dict[tuple, Coeff]:
+    def expand(self, h: Dict[Perm, Coeff]) -> Dict[tuple, Coeff]:
         """Coefficients {(shape, s, t): coeff} of h in the Murphy basis.
 
         One pass over the pivots in insertion order is a triangular solve:
         subtracting a stored column leaves h unchanged at every earlier
         pivot."""
-        work = dict(h.terms)
+        work = dict(h)
         out: Dict[tuple, Coeff] = {}
         for p, (pcol, pcombo) in self.pivots.items():
             c = work.get(p)
@@ -194,8 +194,12 @@ def _murphy_solver(window: Tuple[int, int]) -> _MurphySolver:
     return _MurphySolver(window)
 
 
-def murphy_expand(h: HeckeElt) -> Dict[tuple, Coeff]:
-    return _murphy_solver(h.window).expand(h)
+def murphy_expand(
+    window: Tuple[int, int], h: Dict[Perm, Coeff]
+) -> Dict[tuple, Coeff]:
+    """Coefficients {(shape, s, t): coeff} of h, a Hecke element of the
+    window, in its Murphy basis."""
+    return _murphy_solver(window).expand(h)
 
 
 # ---------------------------------------------------------------------------
@@ -209,7 +213,7 @@ def _lift_x_lambda(n: int, f: int, lam: Partition, window) -> AlgebraElt:
         n,
         {
             NormalWord(f, IDENTITY, w, IDENTITY): c
-            for w, c in x_lambda(lam, window).terms.items()
+            for w, c in x_lambda(lam, window).items()
         },
     )
 
@@ -307,9 +311,7 @@ class CellModule:
         for wd, c in self._layer_terms(x):
             by_d.setdefault(wd.d2, {})[wd.w] = c
         for d, terms in by_d.items():
-            h = HeckeElt(self.window)
-            h.terms = dict(terms)
-            for (mu, sx, tx), c in murphy_expand(h).items():
+            for (mu, sx, tx), c in murphy_expand(self.window, terms).items():
                 if mu != self.lam:
                     if dominates(mu, self.lam):
                         continue  # strictly bigger cell

@@ -77,23 +77,20 @@ DEFAULT_SEED = 0xD1CE
 def _det_is_zero_sym(n: int, f: int, lam, a: int, seed: int = DEFAULT_SEED) -> bool:
     """Does det G_{f,lam}(q, q^a) vanish identically in q?
 
-    A nonzero value at any sample point proves nonvanishing; only an
-    all-zero pre-screen is confirmed symbolically."""
+    A nonzero value at one F_p point proves nonvanishing; a zero, a refused
+    point or a pole there is settled by the determinant at z = q^a."""
     rng = random.Random(seed + 31 * n + 7 * f + a)
     p = 2_147_483_647
-    for _ in range(3):
-        q0 = rng.randrange(2, p - 1)
-        z0 = pow(q0, a, p)
-        try:
-            point = NumericPoint(p, q0, z0)
-        except CoefficientError:
-            continue  # z0^2 = 1, as always at a = 0: not a valid point
-        try:
-            d = gram_det_at(n, f, lam, point)
-        except PoleError:
-            continue
-        if d:
+    q0 = rng.randrange(2, p - 1)
+    try:
+        point = NumericPoint(p, q0, pow(q0, a, p))
+    except CoefficientError:
+        point = None  # z0^2 = 1, as always at a = 0: not a valid point
+    try:
+        if point is not None and gram_det_at(n, f, lam, point):
             return False
+    except PoleError:
+        pass
     return not gram_det_at(n, f, lam, IntegerExponent(a))
 
 

@@ -5,9 +5,8 @@ from typing import NamedTuple
 import pytest
 
 from qbrauer.cli import main
-from qbrauer.coefficients import ONE
-from qbrauer.combinatorics import IDENTITY
-from qbrauer.hecke import HeckeElt
+from qbrauer.coefficients import add_term
+from qbrauer.hecke import mul_word
 
 
 @pytest.fixture(autouse=True)
@@ -37,22 +36,26 @@ def run_cli(*args):
     return CliResult(code, out.getvalue(), err.getvalue())
 
 
-def hecke_one(window):
-    return HeckeElt(window, {IDENTITY: ONE})
+def hecke_sum(*elements):
+    """The sum of Hecke term dicts {w: c}, with no zero term stored."""
+    out = {}
+    for h in elements:
+        for w, c in h.items():
+            add_term(out, w, c)
+    return out
 
 
-def hecke_T(w, window):
-    return HeckeElt(window, {w: ONE})
+def hecke_scale(h, c):
+    """The Hecke term dict c . h."""
+    return {w: c * v for w, v in h.items()} if c else {}
 
 
-def hecke_product(*factors):
-    """The product of Hecke elements of one window: each term c T_v of a
+def hecke_product(window, *factors):
+    """The product of Hecke term dicts of one window: each term c T_v of a
     right factor multiplies the product so far by c and the letters of v."""
     out = factors[0]
     for b in factors[1:]:
-        out._check(b)
-        acc = HeckeElt(out.window)
-        for v, c in b.terms.items():
-            acc = acc + out.scale(c).mul_word(v.word())
-        out = acc
+        out = hecke_sum(
+            *(mul_word(hecke_scale(out, c), v.word(), window) for v, c in b.items())
+        )
     return out

@@ -34,7 +34,7 @@ from qbrauer.algebra import (
 from qbrauer.cli import _relation_pairs
 from qbrauer.coefficients import A, DELTA, ONE, Q, QINV, Z, ZERO, ZINV
 from qbrauer.combinatorics import IDENTITY, coset_reps_D, perm_from_word, seg
-from qbrauer.hecke import HeckeElt
+from qbrauer.hecke import mul_word
 
 
 def rank(n):
@@ -234,8 +234,8 @@ def _merge_anchor_by_subsets(n, f):
     for mask in range(1, 1 << len(full)):
         kept = [full[i] for i in range(len(full)) if not (mask >> i) & 1]
         weight = (-A) ** bin(mask).count("1")
-        product = HeckeElt((1, n), {perm_from_word(kept): ONE}).mul_word(tail)
-        for u, c in product.terms.items():
+        product = mul_word({perm_from_word(kept): ONE}, tail, (1, n))
+        for u, c in product.items():
             out = out - eng.sand(f, u).scale(weight * c)
     return out
 
@@ -299,13 +299,13 @@ def test_hecke_subalgebra_agreement(n):
         [(u, v) for u in perms for v in perms], 30
     )
     for u, v in sample:
-        hprod = HeckeElt(win, {u: ONE}).mul_word(v.word())
+        hprod = mul_word({u: ONE}, v.word(), win)
         xa = AlgebraElt(n, {NormalWord(0, IDENTITY, u, IDENTITY): ONE})
         xb = AlgebraElt(n, {NormalWord(0, IDENTITY, v, IDENTITY): ONE})
         xprod = mul(xa, xb)
         assert all(w.f == 0 for w in xprod.terms)
         got = {w.w: c for w, c in xprod.terms.items()}
-        assert got == hprod.terms
+        assert got == hprod
 
 
 def _indexed(elt, words):

@@ -4,6 +4,8 @@ determinism, and the documented example outputs."""
 import io
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
 from contextlib import redirect_stdout
@@ -160,6 +162,44 @@ def test_semisimple_numeric():
     data = run_json("semisimple", "--n", "3", "--numeric", "10007,3,3")
     assert data["report"]["verdict"] == "not semisimple"
     assert data["ok"] is True
+
+
+def _readme_commands():
+    """The arguments of each qbrauer command in the README's sh blocks."""
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(path, encoding="utf-8") as fh:
+        blocks = re.findall(r"```sh\n(.*?)```", fh.read(), re.S)
+    return [
+        tuple(shlex.split(line, comments=True)[1:])
+        for block in blocks
+        for line in block.splitlines()
+        if line.startswith("qbrauer ")
+    ]
+
+
+README_COMMANDS = _readme_commands()
+
+# the results the README's comments state
+README_RESULTS = {
+    ("basis-count", "--n", "4"): lambda d: (
+        d["count"] == 105 and d["by_deficiency"] == {"0": 24, "1": 72, "2": 9}
+    ),
+    ("mul", "--n", "3", "E1 T2", "E1"): lambda d: (
+        d["terms"] == [{"coeff": "z^1", "d1": [], "d2": [], "f": 1, "w": []}]
+    ),
+    ("scan", "--n", "3", "--from", "-4", "--to", "3"): lambda d: (
+        d["vanishing_exponents"] == [-2, 0, 1]
+    ),
+}
+
+
+@pytest.mark.parametrize("args", README_COMMANDS, ids=" ".join)
+def test_readme_example(args, tmp_path):
+    assert set(README_RESULTS) <= set(README_COMMANDS)
+    res = run("--cache-dir", str(tmp_path / "cache"), *args)
+    assert res.exit_code == 0, res.output
+    check = README_RESULTS.get(args)
+    assert check is None or check(json.loads(res.stdout)), res.stdout
 
 
 def test_mul_sandwich_relation():

@@ -3,8 +3,10 @@ determinant scans, and brute-force verification at numeric points."""
 
 import pytest
 
+from qbrauer import semisimple
 from qbrauer.coefficients import NumericPoint, quantum_characteristic
 from qbrauer.semisimple import (
+    _det_is_zero_sym,
     SemisimpleError,
     bad_exponent_set,
     brute_semisimple,
@@ -34,6 +36,21 @@ def test_criterion():
 def test_scan_matches_bad_set_rank_two_three():
     assert scan(2, -2, 2) == {0}
     assert scan(3, -4, 3) == {-2, 0, 1}
+
+
+def test_vanishing_determinant_pays_one_fp_draw(monkeypatch):
+    # a zero at one F_p point proves nothing more at a second draw, so a
+    # vanishing determinant costs one F_p and one symbolic determinant
+    calls = []
+    det = semisimple.gram_det_at
+
+    def counted(n, f, lam, spec=None):
+        calls.append("fp" if getattr(spec, "characteristic", 0) else "symbolic")
+        return det(n, f, lam, spec)
+
+    monkeypatch.setattr(semisimple, "gram_det_at", counted)
+    assert _det_is_zero_sym(4, 1, (2,), -4) is True
+    assert calls == ["fp", "symbolic"]
 
 
 def test_scan_matches_bad_set_rank_four():
