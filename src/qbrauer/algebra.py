@@ -73,6 +73,7 @@ from .coefficients import (
     Z,
     ZERO,
     ZINV,
+    add_scaled,
     add_term,
     parse_coeff,
 )
@@ -96,11 +97,6 @@ class AlgebraError(ValueError):
 
 class StuckWordError(AlgebraError):
     """The rewriting system could not bring a word to normal form."""
-
-    def __init__(self, msg, f=None, word=None):
-        super().__init__(msg)
-        self.f = f
-        self.word = word
 
 
 class NormalWord(NamedTuple):
@@ -226,9 +222,7 @@ class Engine:
         self._steps += 1
         if self._steps > _STEP_BOUND:
             raise StuckWordError(
-                f"step bound exceeded while normalizing E^{f} T_{list(word.word())}",
-                f,
-                word,
+                f"step bound exceeded while normalizing E^{f} T_{list(word.word())}"
             )
 
     def one(self) -> AlgebraElt:
@@ -251,9 +245,7 @@ class Engine:
             return hit
         flight = (tail, f, u)
         if flight in self._inflight:
-            raise StuckWordError(
-                f"rewriting cycle at E^{f} T_{list(u.word())}{tail}", f, u
-            )
+            raise StuckWordError(f"rewriting cycle at E^{f} T_{list(u.word())}{tail}")
         self._inflight.add(flight)
         try:
             out = impl(f, u)
@@ -277,9 +269,7 @@ class Engine:
                 return {(omega, d): ONE}
         rule = self._left_rule(f, u)
         if rule is None:
-            raise StuckWordError(
-                f"no rule applies to E^{f} T_{list(u.word())}", f, u
-            )
+            raise StuckWordError(f"no rule applies to E^{f} T_{list(u.word())}")
         kind, arg = rule
         out: Dict[Tuple[Perm, Perm], Coeff] = {}
         if kind == "window":
@@ -288,8 +278,7 @@ class Engine:
                     add_term(out, (sw, dd), c * c2)
             return out
         for u2, c in arg.items():
-            for kd, c2 in self.reduce(f, u2).items():
-                add_term(out, kd, c * c2)
+            add_scaled(out, self.reduce(f, u2), c)
         return out
 
     def _left_rule(self, f, u):
@@ -378,9 +367,7 @@ class Engine:
                 return AlgebraElt(
                     n, {NormalWord(1, vi, IDENTITY, IDENTITY): ONE}
                 )
-        raise StuckWordError(
-            f"no rule applies to E^{f} T_{list(v.word())} E1", f, v
-        )
+        raise StuckWordError(f"no rule applies to E^{f} T_{list(v.word())} E1")
 
     def _merge_anchor(self, f) -> AlgebraElt:
         """E^f T_{v0} E_1 for v0 = s_{2f+1,1} s_{2f+2,2}, via the recursion
@@ -483,8 +470,7 @@ def _lin_comb(n: int, pieces: Iterable[Tuple[Coeff, AlgebraElt]]) -> AlgebraElt:
     """The sum of c . x over pieces (c, x), accumulated in one dict."""
     out: Dict[NormalWord, Coeff] = {}
     for c, x in pieces:
-        for w, v in x.terms.items():
-            add_term(out, w, c * v)
+        add_scaled(out, x.terms, c)
     r = AlgebraElt(n)
     r.terms = out
     return r

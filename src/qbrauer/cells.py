@@ -67,7 +67,8 @@ from .coefficients import (
     ZERO,
     Q,
     Z,
-    add_term,
+    ZINV,
+    add_scaled,
     specialize,
 )
 from .combinatorics import (
@@ -80,7 +81,6 @@ from .combinatorics import (
     content,
     coset_reps_D,
     coset_word,
-    ct_eigenvalue,
     dominates,
     label_key,
     partitions,
@@ -89,6 +89,7 @@ from .combinatorics import (
     std_tableaux,
     superstandard,
     ud_dominates,
+    ud_step,
     updown_tableaux,
     window_perms,
 )
@@ -153,8 +154,8 @@ class _MurphySolver:
         for p, (pcol, pcombo) in self.pivots.items():
             c = col.get(p)
             if c:
-                _subtract(col, pcol, c)
-                _subtract(combo, pcombo, c)
+                add_scaled(col, pcol, -c)
+                add_scaled(combo, pcombo, -c)
         if not col:
             raise CellError("dependent Murphy element")
         pivot = max(col, key=lambda w: (w.length(), w.start, w.images))
@@ -174,19 +175,11 @@ class _MurphySolver:
         for p, (pcol, pcombo) in self.pivots.items():
             c = work.get(p)
             if c:
-                _subtract(work, pcol, c)
-                for k, v in pcombo.items():
-                    add_term(out, k, c * v)
+                add_scaled(work, pcol, -c)
+                add_scaled(out, pcombo, c)
         if work:
             raise CellError("element is not in the span of the Murphy basis")
         return out
-
-
-def _subtract(target: dict, source: dict, c: Coeff):
-    """target -= c * source, in place."""
-    c = -c
-    for k, v in source.items():
-        add_term(target, k, c * v)
 
 
 @lru_cache(maxsize=None)
@@ -227,6 +220,15 @@ def _removal_letters(i: int, f: int, b_k: int) -> list:
         + [Tinv(x) for x in reversed(seg_word(i, 2 * f))]
         + [Tinv(x) for x in reversed(seg_word(b_k, 2 * f - 1))]
     )
+
+
+def ct_eigenvalue(t: UpDownTableau, k: int) -> Coeff:
+    """Eigenvalue of the k-th Jucys-Murphy element on the basis vector of t."""
+    kind, p = ud_step(t, k)
+    c = content(p)
+    if kind == "add":
+        return (Q ** (2 * c) - ONE) / A
+    return (ZINV**2 * Q ** (2 - 2 * c) - ONE) / A
 
 
 class CellModule:
@@ -434,8 +436,8 @@ class CellModule:
         eng = get_engine(self.n)
         sm = one_elt(self.n)
         for i in range(1, self.n + 1):
-            kind, node = t.step(i)
-            shape = t.shapes[i]
+            kind, node = ud_step(t, i)
+            shape = t[i]
             fi = (i - sum(shape)) // 2
             k = node[0]
             if kind == "add":
@@ -521,7 +523,7 @@ class CellModule:
         n, f, lam = self.n, self.f, self.lam
         mus = branching_list(f, lam, n)
         runs: List[Tuple[Partition, range]] = []
-        for mu, run in groupby(self.ud, key=lambda t: t.shapes[n - 1]):
+        for mu, run in groupby(self.ud, key=lambda t: t[n - 1]):
             start = runs[-1][1].stop if runs else 0
             runs.append((mu, range(start, start + sum(1 for _ in run))))
         contiguous = [mu for mu, _ in runs] == mus[::-1]
@@ -706,7 +708,7 @@ def skew_boxes(lam: Partition, mu: Partition) -> List[Tuple[int, int]]:
             raise CellError(f"{mu} is not contained in {lam}")
         for c in range(lo + 1, lam[r] + 1):
             out.append((r + 1, c))
-    if any(r < len(lam) + 1 and mu[r] for r in range(len(lam), len(mu))):
+    if len(mu) > len(lam):
         raise CellError(f"{mu} is not contained in {lam}")
     return out
 

@@ -43,6 +43,7 @@ from .combinatorics import (
     brauer_dimension,
     check_label,
     is_partition,
+    ud_str,
 )
 from .linalg import mat_det
 from .semisimple import (
@@ -280,7 +281,7 @@ def jm_spectrum(args):
     payload = {
         "command": "jm-spectrum",
         "config": _config(n, f=f, **{"lambda": list(lam)}),
-        "basis": [str(t) for t in mod.ud],
+        "basis": [ud_str(t) for t in mod.ud],
         "spectra": spectra,
         "triangular_ok": ok,
     }

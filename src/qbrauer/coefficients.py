@@ -367,9 +367,6 @@ class Coeff:
 
     # -- structure ---------------------------------------------------------
 
-    def is_zero(self) -> bool:
-        return not self.num
-
     def __bool__(self):
         return bool(self.num)
 
@@ -490,8 +487,6 @@ def poly_str(a: Terms) -> str:
             factors.append(f"q^{i}")
         if j:
             factors.append(f"z^{j}")
-        if not factors:
-            factors.append("1")
         parts.append("*".join(factors))
     return "+".join(parts).replace("+-", "-")
 
@@ -560,6 +555,13 @@ def add_term(out: dict, key, c) -> None:
         out[key] = v
     else:
         out.pop(key, None)
+
+
+def add_scaled(out: dict, terms: dict, c) -> None:
+    """out += c * terms for sparse combinations, term by term through
+    add_term."""
+    for key, v in terms.items():
+        add_term(out, key, c * v)
 
 
 DELTA = delta()

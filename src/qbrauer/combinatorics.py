@@ -14,8 +14,9 @@ Conventions fixed here and used everywhere:
     larger (the bigger cell) and equal f compares shapes by dominates;
     label_key refines this to a total order.  branching_list gives the
     neighbours of a label one level down, and the up-down tableaux of lam
-    are the paths of that branching graph from lam to the empty partition;
-    updown_tableaux lists them in ud_key order.  Up-down tableaux are
+    are the paths of that branching graph from lam to the empty partition:
+    tuples of shapes (t_0 = (), t_1, ..., t_n), t[k] the shape at level k,
+    which updown_tableaux lists in ud_key order.  Up-down tableaux are
     ordered levelwise, s above t when s_k is at or above t_k at every level
     k (ud_dominates), and ud_key refines that order.  The Jucys-Murphy
     elements act triangularly in it: L_k m_t = c_t(k) m_t + terms m_s with
@@ -342,6 +343,9 @@ def shape_diff(big: Partition, small: Partition) -> Node:
 # ---------------------------------------------------------------------------
 
 StandardTableau = Tuple[Tuple[int, ...], ...]
+# (t_0 = (), t_1, ..., t_n), one box added or removed at each step; t[k] is
+# the shape at level k
+UpDownTableau = Tuple[Partition, ...]
 
 
 def superstandard(lam: Partition, start: int = 1) -> StandardTableau:
@@ -485,92 +489,48 @@ def branching_list(f: int, lam: Partition, n: int) -> List[Partition]:
 # ---------------------------------------------------------------------------
 
 
-class UpDownTableau:
-    """A path of partitions (t_0 = empty, t_1, ..., t_n) with one-box steps."""
-
-    __slots__ = ("shapes", "_hash")
-
-    def __init__(self, shapes: Sequence[Partition]):
-        self.shapes = tuple(tuple(p) for p in shapes)
-        self._hash = None
-        if self.shapes[0] != ():
-            raise CombinatoricsError("path must start at the empty partition")
-        for k in range(1, len(self.shapes)):
-            if abs(sum(self.shapes[k]) - sum(self.shapes[k - 1])) != 1:
-                raise CombinatoricsError("steps must add or remove one box")
-
-    @property
-    def n(self) -> int:
-        return len(self.shapes) - 1
-
-    @property
-    def shape(self) -> Partition:
-        return self.shapes[-1]
-
-    def step(self, k: int) -> Tuple[str, Node]:
-        """('add'|'remove', node) describing t_{k-1} -> t_k."""
-        a, b = self.shapes[k - 1], self.shapes[k]
-        if sum(b) > sum(a):
-            return "add", shape_diff(b, a)
-        return "remove", shape_diff(a, b)
-
-    def __eq__(self, other):
-        return isinstance(other, UpDownTableau) and self.shapes == other.shapes
-
-    def __hash__(self):
-        if self._hash is None:
-            self._hash = hash(self.shapes)
-        return self._hash
-
-    def __repr__(self):
-        return "UD" + repr([list(p) for p in self.shapes])
-
-
 def updown_tableaux(n: int, lam: Partition) -> List[UpDownTableau]:
     """The up-down tableaux of shape lam at level n: the paths of the
     branching graph from lam down to the empty partition, each step a shape
     of branching_list.  Taking those shapes in ascending label_key at every
     level lists the paths in ud_key order."""
     lam = check_label(n, (n - sum(lam)) // 2, lam)
-    paths: List[Tuple[Partition, ...]] = [(lam,)]
+    paths: List[UpDownTableau] = [(lam,)]
     for k in range(n, 0, -1):
         paths = [
             (mu,) + p
             for p in paths
             for mu in reversed(branching_list((k - sum(p[0])) // 2, p[0], k))
         ]
-    return [UpDownTableau(p) for p in paths]
+    return paths
+
+
+def ud_step(t: UpDownTableau, k: int) -> Tuple[str, Node]:
+    """('add'|'remove', node) describing the step t_{k-1} -> t_k."""
+    a, b = t[k - 1], t[k]
+    if sum(b) > sum(a):
+        return "add", shape_diff(b, a)
+    return "remove", shape_diff(a, b)
+
+
+def ud_str(t: UpDownTableau) -> str:
+    """The report form of t, such as UD[[], [1], [2]]."""
+    return "UD" + repr([list(p) for p in t])
 
 
 def ud_key(t: UpDownTableau):
     """Sort key refining ud_dominates: the label_key of each level, the last
     level first."""
-    return tuple(label_key(k, t.shapes[k]) for k in range(t.n, -1, -1))
+    return tuple(label_key(k, t[k]) for k in range(len(t) - 1, -1, -1))
 
 
 def ud_dominates(s: UpDownTableau, t: UpDownTableau) -> bool:
     """Whether s is at or above t: at every level k the label of s_k has
     the larger deficiency, or the same one and a shape dominating t_k."""
-    if s.n != t.n:
+    if len(s) != len(t):
         raise CombinatoricsError("paths must share their length")
-    for k, (a, b) in enumerate(zip(s.shapes, t.shapes)):
+    for k, (a, b) in enumerate(zip(s, t)):
         fa, fb = label_key(k, a)[0], label_key(k, b)[0]
         if fa < fb or (fa == fb and not dominates(a, b)):
             return False
     return True
-
-
-# ---------------------------------------------------------------------------
-# JM eigenvalues
-# ---------------------------------------------------------------------------
-
-
-def ct_eigenvalue(t: UpDownTableau, k: int):
-    """Eigenvalue of the k-th Jucys-Murphy element on the basis vector of t."""
-    from .coefficients import A, Coeff, ONE, Q, ZINV
-
-    kind, p = t.step(k)
-    c = content(p)
-    if kind == "add":
-        return (Q ** (2 * c) - ONE) / A
-    return (ZINV**2 * Q ** (2 - 2 * c) - ONE) / A

@@ -31,6 +31,7 @@ from qbrauer.cells import (
     admissible,
     admissible_exponent,
     cell_module,
+    ct_eigenvalue,
     murphy_expand,
     radical_dim,
     radical_factor_shape,
@@ -56,13 +57,13 @@ from qbrauer.combinatorics import (
     branching_list,
     coset_reps_D,
     coset_word,
-    ct_eigenvalue,
     labels,
     partitions,
     seg_word,
     std_tableaux,
     ud_dominates,
     ud_key,
+    ud_step,
     updown_tableaux,
 )
 from qbrauer.hecke import murphy_x, star, x_lambda
@@ -401,7 +402,7 @@ def test_check_triangular_flags_entries_the_order_does_not_allow():
 def test_triangular_order_sorts_by_deficiency_chain():
     ud = sorted(updown_tableaux(3, (1,)), key=ud_key)
     # the tableau staying at deficiency zero longest comes first
-    fs = [sum(t.shapes[i]) for t in ud for i in (1,)]
+    fs = [sum(t[i]) for t in ud for i in (1,)]
     assert fs == sorted(fs, reverse=True)
 
 
@@ -520,8 +521,8 @@ def _m_elt_by_left_products(n, t):
     eng = get_engine(n)
     m = one_elt(n)
     for i in range(1, n + 1):
-        kind, node = t.step(i)
-        shape = t.shapes[i]
+        kind, node = ud_step(t, i)
+        shape = t[i]
         fi = (i - sum(shape)) // 2
         k = node[0]
         if kind == "add":
@@ -671,6 +672,9 @@ def test_admissible_exponent_examples():
     assert admissible_exponent((1, 1), ()) is None
     # skew boxes of (2,1)/(1) have contents 1 and -1, so z^2 = q^2
     assert admissible_exponent((2, 1), (1,)) == 2
+    # (1, 1) has a second row that (4,) lacks
+    with pytest.raises(CellError, match="not contained"):
+        admissible_exponent((4,), (1, 1))
 
 
 def test_admissible_with_specialization():

@@ -4,18 +4,17 @@ from math import factorial
 
 import pytest
 
+from qbrauer.cells import ct_eigenvalue
 from qbrauer.coefficients import A, ONE, Q, ZERO, ZINV
 from qbrauer.combinatorics import (
     CombinatoricsError,
     IDENTITY,
     Perm,
-    UpDownTableau,
     branching_list,
     check_label,
     config_to_rep,
     coset_reps_D,
     coset_word,
-    ct_eigenvalue,
     d_config,
     dominance_key,
     dominates,
@@ -31,6 +30,7 @@ from qbrauer.combinatorics import (
     superstandard,
     ud_dominates,
     ud_key,
+    ud_str,
     updown_tableaux,
     window_perms,
 )
@@ -234,6 +234,8 @@ def test_updown_counts():
     assert len(updown_tableaux(3, (1,))) == 3
     assert len(updown_tableaux(4, (2,))) == 6
     assert len(updown_tableaux(2, ())) == 1
+    assert updown_tableaux(2, ()) == [((), (1,), ())]
+    assert ud_str(((), (1,), (2,))) == "UD[[], [1], [2]]"
     for n in range(1, 9):
         for f in range(n // 2 + 1):
             for lam in partitions(n - 2 * f):
@@ -244,9 +246,9 @@ def test_updown_counts():
                 # each step goes to a neighbour one level down in branching_list
                 for t in paths:
                     for k in range(1, n + 1):
-                        up = t.shapes[k]
+                        up = t[k]
                         down = branching_list((k - sum(up)) // 2, up, k)
-                        assert t.shapes[k - 1] in down
+                        assert t[k - 1] in down
 
 
 def test_updown_tableaux_of_a_row_build_only_its_path():
@@ -256,22 +258,22 @@ def test_updown_tableaux_of_a_row_build_only_its_path():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert [t.shapes for t in paths] == [((),) + tuple((k,) for k in range(1, 12))]
+    assert paths == [((),) + tuple((k,) for k in range(1, 12))]
     assert peak < 1_000_000
 
 
 def test_ud_dominates_examples():
-    s1 = UpDownTableau([(), (1,), (2,), (1,)])
-    t1 = UpDownTableau([(), (1,), (1, 1), (1,)])
-    u1 = UpDownTableau([(), (1,), (), (1,)])
+    s1 = ((), (1,), (2,), (1,))
+    t1 = ((), (1,), (1, 1), (1,))
+    u1 = ((), (1,), (), (1,))
     # same deficiency at level 2: dominates decides
     assert ud_dominates(s1, t1) and not ud_dominates(t1, s1)
     # a larger deficiency at level 2 is above
     assert ud_dominates(u1, s1) and not ud_dominates(s1, u1)
     assert ud_dominates(s1, s1)
     # above at level 3 by deficiency, below at level 2 by dominates
-    x = UpDownTableau([(), (1,), (1, 1), (1,), (2,)])
-    y = UpDownTableau([(), (1,), (2,), (3,), (2,)])
+    x = ((), (1,), (1, 1), (1,), (2,))
+    y = ((), (1,), (2,), (3,), (2,))
     assert not ud_dominates(x, y) and not ud_dominates(y, x)
 
 
@@ -291,10 +293,10 @@ def test_ud_dominates_is_a_partial_order_refined_by_ud_key():
 
 
 def test_ct_eigenvalue():
-    t = UpDownTableau([(), (1,), (2,)])
+    t = ((), (1,), (2,))
     assert ct_eigenvalue(t, 1) == ZERO
     assert ct_eigenvalue(t, 2) == Q
-    t2 = UpDownTableau([(), (1,), ()])
+    t2 = ((), (1,), ())
     assert ct_eigenvalue(t2, 2) == (Q**2 * ZINV**2 - ONE) / A
 
 
