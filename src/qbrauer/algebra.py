@@ -71,7 +71,6 @@ from .coefficients import (
     ONE,
     Q,
     Z,
-    ZERO,
     ZINV,
     add_scaled,
     add_term,
@@ -80,12 +79,20 @@ from .coefficients import (
 from .combinatorics import (
     IDENTITY,
     Perm,
+    compose,
     config_to_rep,
     coset_reps_D,
     d_config,
+    invert,
+    left_descents,
+    length,
+    min_window,
+    reduced_word,
+    right_descents,
     s,
     seg,
     seg_word,
+    supported_in,
     window_perms,
 )
 from .hecke import mul_gen, star
@@ -172,17 +179,11 @@ class AlgebraElt:
             and self.terms == other.terms
         )
 
-    def is_zero(self):
-        return not self.terms
-
-    def coeff(self, w: NormalWord) -> Coeff:
-        return self.terms.get(w, ZERO)
-
     def display_terms(self) -> List[Tuple]:
         """(f, d1, w, d2, coefficient) for each term, each permutation as its
         reduced word, sorted by (f, d1, w, d2): the order of reports."""
         return sorted(
-            ((w.f, w.d1.word(), w.w.word(), w.d2.word(), c) for w, c in self.terms.items()),
+            ((x.f, *map(reduced_word, x[1:]), c) for x, c in self.terms.items()),
             key=lambda term: term[:4],
         )
 
@@ -199,6 +200,11 @@ class AlgebraElt:
 # ---------------------------------------------------------------------------
 
 _STEP_BOUND = 10**6
+
+
+def _at(f: int, u: Perm) -> str:
+    """The word E^f T_u as error messages spell it."""
+    return f"E^{f} T_{list(reduced_word(u))}"
 
 
 class Engine:
@@ -218,12 +224,10 @@ class Engine:
 
     # -- helpers -----------------------------------------------------------------
 
-    def _tick(self, f, word):
+    def _tick(self, f, u):
         self._steps += 1
         if self._steps > _STEP_BOUND:
-            raise StuckWordError(
-                f"step bound exceeded while normalizing E^{f} T_{list(word.word())}"
-            )
+            raise StuckWordError(f"step bound exceeded while normalizing {_at(f, u)}")
 
     def one(self) -> AlgebraElt:
         return AlgebraElt(self.n, {NormalWord(0, IDENTITY, IDENTITY, IDENTITY): ONE})
@@ -245,7 +249,7 @@ class Engine:
             return hit
         flight = (tail, f, u)
         if flight in self._inflight:
-            raise StuckWordError(f"rewriting cycle at E^{f} T_{list(u.word())}{tail}")
+            raise StuckWordError(f"rewriting cycle at {_at(f, u)}{tail}")
         self._inflight.add(flight)
         try:
             out = impl(f, u)
@@ -258,22 +262,20 @@ class Engine:
         self._tick(f, u)
         if f == 0:
             return {(u, IDENTITY): ONE}
-        # factor through the stabilizer coset: u = sigma . d
+        # factor through the stabilizer coset: u = omega . d, done when omega
+        # is a pure window element and the factorization is reduced
         d = config_to_rep(f, self.n)[d_config(f, u)]
-        sigma = u * d.inv()
-        lo, hi = sigma.min_window()
-        if lo > 2 * f or lo > hi:
-            # sigma is a pure window element
-            omega = sigma
-            if u.length() == omega.length() + d.length():
-                return {(omega, d): ONE}
+        omega = compose(u, invert(d))
+        lo, hi = min_window(omega)
+        if (lo > 2 * f or lo > hi) and length(u) == length(omega) + length(d):
+            return {(omega, d): ONE}
         rule = self._left_rule(f, u)
         if rule is None:
-            raise StuckWordError(f"no rule applies to E^{f} T_{list(u.word())}")
+            raise StuckWordError(f"no rule applies to {_at(f, u)}")
         kind, arg = rule
         out: Dict[Tuple[Perm, Perm], Coeff] = {}
         if kind == "window":
-            for (omega, dd), c in self.reduce(f, s(arg) * u).items():
+            for (omega, dd), c in self.reduce(f, compose(s(arg), u)).items():
                 for sw, c2 in self._hecke_word_times([(arg, False)], omega).items():
                     add_term(out, (sw, dd), c * c2)
             return out
@@ -287,24 +289,24 @@ class Engine:
         T_m commutes out of E^f T_{s_m u} to the window factor, ("expand",
         {u2: c}) for the others, where E^f T_u = sum c E^f T_{u2}, and None
         when no rule applies.  The tail E_1 of sand does not change them."""
-        lds = u.left_descents()
+        lds = left_descents(u)
         for m in lds:  # (a)
             if m <= 2 * f - 1 and m % 2 == 1:
-                return "expand", {s(m) * u: Q}
+                return "expand", {compose(s(m), u): Q}
         for m in lds:  # (b)
             if m >= 2 * f + 1:
                 return "window", m
         for m in lds:  # (c)
             if m <= 2 * f - 2 and m % 2 == 0:
-                v1 = s(m) * u
-                if m + 1 in v1.left_descents():
+                v1 = compose(s(m), u)
+                if m + 1 in left_descents(v1):
                     return "expand", self._hecke_word_times(
-                        [(m, False), (m - 1, False)], s(m + 1) * v1
+                        [(m, False), (m - 1, False)], compose(s(m + 1), v1)
                     )
         for m in lds:  # (d)
             if m <= 2 * f - 2 and m % 2 == 0:
                 return "expand", self._hecke_word_times(
-                    [(m, False), (m + 1, False), (m - 1, True)], s(m) * u
+                    [(m, False), (m + 1, False), (m - 1, True)], compose(s(m), u)
                 )
         return None
 
@@ -312,7 +314,7 @@ class Engine:
         """Expand T_{l1} ... T_{lk} . T_rest in the Hecke algebra of S_n as a
         combination of T_u, for letters = [(l, inverse?)], as the image under
         the anti-automorphism star of T_{rest^-1} . T_{lk} ... T_{l1}."""
-        h = {rest.inv(): ONE}
+        h = {invert(rest): ONE}
         for i, inverse in reversed(letters):
             h = mul_gen(h, i, (1, self.n), inverse)
         return star(h)
@@ -329,45 +331,44 @@ class Engine:
         # contact cases first: they are specific short words that the
         # descent rules below would otherwise unfold indefinitely
         if f >= 1:
-            if v.is_identity():
+            if v == IDENTITY:
                 # E^f E_1 = delta E^f
                 return AlgebraElt(
                     n, {NormalWord(f, IDENTITY, IDENTITY, IDENTITY): DELTA}
                 )
-            if 2 * f + 2 <= n and v == seg(2 * f + 1, 1) * seg(2 * f + 2, 2):
+            if 2 * f + 2 <= n and v == compose(seg(2 * f + 1, 1), seg(2 * f + 2, 2)):
                 return self._merge_anchor(f)
             # E^f T_{v''} T_2 E_1 = z E^f T_{v''} when v'' moves only {3..n}
             # (commute v'' past the outer E_1 factors and contract T_2);
             # v'' = 1 is the contraction E^f T_2 E_1 = z E^f
-            vp = v * s(2)
-            if vp.length() < v.length() and vp.supported_in(3, n):
+            vp = compose(v, s(2))
+            if length(vp) < length(v) and supported_in(vp, 3, n):
                 return AlgebraElt(n, {
                     NormalWord(f, IDENTITY, omega, dd): Z * c
                     for (omega, dd), c in self.reduce(f, vp).items()
                 })
         # right descents: k = 1 absorbs into E_1, k >= 3 commutes past E_1;
         # then the left-descent rules
-        rds = v.right_descents()
-        for k in rds:
+        for k in right_descents(v):
             if k == 1:
-                return self.sand(f, v * s(1)).scale(Q)
+                return self.sand(f, compose(v, s(1))).scale(Q)
             if k >= 3:
-                inner = self.sand(f, v * s(k))
+                inner = self.sand(f, compose(v, s(k)))
                 return self.right_mul_gen(inner, T(k))
         rule = self._left_rule(f, v)
         if rule is not None:
             kind, arg = rule
             if kind == "window":
-                return self.left_mul_gen(T(arg), self.sand(f, s(arg) * v))
+                return self.left_mul_gen(T(arg), self.sand(f, compose(s(arg), v)))
             return _lin_comb(n, ((c, self.sand(f, u2)) for u2, c in arg.items()))
         if f == 0:
             # T_v E_1 = sigma(E_1 T_{v^{-1}}); needs v^{-1} in D_{1,n}
-            vi = v.inv()
+            vi = invert(v)
             if vi in set(coset_reps_D(1, n)):
                 return AlgebraElt(
                     n, {NormalWord(1, vi, IDENTITY, IDENTITY): ONE}
                 )
-        raise StuckWordError(f"no rule applies to E^{f} T_{list(v.word())} E1")
+        raise StuckWordError(f"no rule applies to {_at(f, v)} E1")
 
     def _merge_anchor(self, f) -> AlgebraElt:
         """E^f T_{v0} E_1 for v0 = s_{2f+1,1} s_{2f+2,2}, via the recursion
@@ -376,7 +377,7 @@ class Engine:
         the Hecke product T_{1,2f+1}^{-1} T_{2f+2,2} is T_{v0}, with
         coefficient 1, plus strictly shorter terms, so the v0 sandwich is
         E^(f+1) minus the sandwiches of those shorter terms."""
-        v0 = seg(2 * f + 1, 1) * seg(2 * f + 2, 2)
+        v0 = compose(seg(2 * f + 1, 1), seg(2 * f + 2, 2))
         # T_{1,2f+1}^{-1} = T_{2f}^{-1} ... T_1^{-1}
         letters = [(i, True) for i in range(2 * f, 0, -1)]
         pieces = [(ONE, e_power(f + 1, self.n))]
@@ -409,8 +410,8 @@ class Engine:
             return self._rmul_word(x, T(g[1])) - AlgebraElt(
                 n, {x: ONE}
             ).scale(A)
-        u = w * d2
-        assert u.length() == w.length() + d2.length(), (x,)
+        u = compose(w, d2)
+        assert length(u) == length(w) + length(d2), (x,)
         if g[0] == "T":
             out: Dict[NormalWord, Coeff] = {}
             for u2, c in mul_gen({u: ONE}, g[1], (1, n)).items():
@@ -421,7 +422,7 @@ class Engine:
             return r
         # g == E1
         res = self.sand(f, u)
-        if not d1.is_identity():
+        if d1 != IDENTITY:
             res = self.left_mul_sigma_T(res, d1)
         return res
 
@@ -430,8 +431,8 @@ class Engine:
     def sigma(self, x: AlgebraElt) -> AlgebraElt:
         r = AlgebraElt(self.n)
         r.terms = {
-            NormalWord(w.f, w.d2, w.w.inv(), w.d1): c
-            for w, c in x.terms.items()
+            NormalWord(y.f, y.d2, invert(y.w), y.d1): c
+            for y, c in x.terms.items()
         }
         return r
 
@@ -441,16 +442,17 @@ class Engine:
 
     def left_mul_sigma_T(self, x: AlgebraElt, d: Perm) -> AlgebraElt:
         """sigma(T_d) . x computed as sigma(sigma(x) . T_d)."""
-        return self.sigma(self.apply_letters(self.sigma(x), [T(i) for i in d.word()]))
+        letters = [T(i) for i in reduced_word(d)]
+        return self.sigma(self.apply_letters(self.sigma(x), letters))
 
     # -- words and products ----------------------------------------------------------
 
     def word_letters(self, x: NormalWord) -> List[Tuple]:
         """Generator letters whose product is the basis word x."""
-        letters: List[Tuple] = [T(i) for i in reversed(x.d1.word())]
+        letters: List[Tuple] = [T(i) for i in reversed(reduced_word(x.d1))]
         letters += e_power_letters(x.f)
-        letters += [T(i) for i in x.w.word()]
-        letters += [T(i) for i in x.d2.word()]
+        letters += [T(i) for i in reduced_word(x.w)]
+        letters += [T(i) for i in reduced_word(x.d2)]
         return letters
 
     def apply_letters(self, x: AlgebraElt, letters: Iterable[Tuple]) -> AlgebraElt:

@@ -83,7 +83,9 @@ from .combinatorics import (
     coset_word,
     dominates,
     label_key,
+    length,
     partitions,
+    reduced_word,
     seg_word,
     shape_diff,
     std_tableaux,
@@ -129,7 +131,7 @@ class _MurphySolver:
     stored column is zero at every earlier pivot (there is no Jordan step:
     it may be nonzero at later ones).  Pivots are chosen among longest
     remaining words, which keeps the elimination close to the length
-    grading; ties are broken by the stored images, as any total order gives
+    grading; ties are broken by the image tuples, as any total order gives
     the same unique expansion."""
 
     def __init__(self, window: Tuple[int, int]):
@@ -158,7 +160,7 @@ class _MurphySolver:
                 add_scaled(combo, pcombo, -c)
         if not col:
             raise CellError("dependent Murphy element")
-        pivot = max(col, key=lambda w: (w.length(), w.start, w.images))
+        pivot = max(col, key=lambda w: (length(w), w))
         inv = ONE / col[pivot]
         col = {w: c * inv for w, c in col.items()}
         combo = {k: c * inv for k, c in combo.items()}
@@ -272,7 +274,9 @@ class CellModule:
     def _words(self) -> List[Tuple[int, ...]]:
         """Letters (a_1, ..., a_m) with basis vector (a, v) equal to
         e_ref T_{a_1} ... T_{a_m}: the word of lefts[a], then that of v."""
-        return [self._lefts[a].word() + v.word() for a, v in self.index]
+        return [
+            reduced_word(self._lefts[a]) + reduced_word(v) for a, v in self.index
+        ]
 
     def elements(self) -> List[AlgebraElt]:
         """Lifts e_ref T_{a_1} ... T_{a_m} of the basis vectors."""
@@ -302,7 +306,7 @@ class CellModule:
                 raise CellError(
                     f"term of deficiency {wd.f} below the cell layer {self.f}"
                 )
-            if not wd.d1.is_identity():
+            if wd.d1 != IDENTITY:
                 raise CellError("unexpected left coset part during reduction")
             yield wd, c
 
@@ -653,7 +657,7 @@ class VLayer(CellModule):
     def __init__(self, n: int):
         if n < 2:
             raise CellError("the f=1 layer needs n >= 2")
-        ws = sorted(window_perms(3, n), key=lambda w: (w.length(), w.word()))
+        ws = sorted(window_perms(3, n), key=lambda w: (length(w), reduced_word(w)))
         self._set_basis(n, 1, {w: w for w in ws})
 
     def _base(self) -> AlgebraElt:
@@ -669,7 +673,7 @@ class VLayer(CellModule):
     def _pairing(self) -> Tuple[int, set]:
         """phi reads the identity coefficient of h in x . E_1 = E_1 h, so a
         row of the action of E_1 may be nonzero at every (w, 1)."""
-        support = {i for i, (_, d) in enumerate(self.index) if d.is_identity()}
+        support = {i for i, (_, d) in enumerate(self.index) if d == IDENTITY}
         return self.pos[(IDENTITY, IDENTITY)], support
 
 

@@ -43,6 +43,7 @@ from .combinatorics import (
     brauer_dimension,
     check_label,
     is_partition,
+    reduced_word,
     ud_str,
 )
 from .linalg import mat_det
@@ -257,7 +258,7 @@ def gram(args):
             n, f=f, **{"lambda": list(lam)}, z_exp=args.z_exp, numeric=args.numeric
         ),
         "basis": [
-            {"tableau": str(t), "coset": list(v.word())} for t, v in mod.index
+            {"tableau": str(t), "coset": list(reduced_word(v))} for t, v in mod.index
         ],
         "matrix": [[str(c) for c in row] for row in g],
         "determinant": str(det),

@@ -1,9 +1,13 @@
 """Partitions, tableaux, permutations, coset representatives and orders.
 
 Conventions fixed here and used everywhere:
-  * Permutations are bijections of a window of integers; the product p * q
-    means "apply p first, then q": (p * q)(x) = q(p(x)).  This matches
-    left-to-right composition of generator words.
+  * A permutation (Perm) is the plain tuple of its images (p(1), ..., p(m))
+    with p(m) != m, fixing every point past m; the identity is ().  That is
+    its only form, so equal permutations are equal tuples and dict keys.
+    perm(images, start) checks input built elsewhere; the functions here
+    build the tuples directly.  compose(p, q) is the product p * q, "apply
+    p first, then q": (p * q)(x) = q(p(x)).  This matches left-to-right
+    composition of generator words.
   * s(i) swaps i and i+1.  seg(i, j) is the length-|i-j| element moving i to
     j through adjacent swaps: for i < j it is s_i s_{i+1} ... s_{j-1}, for
     i > j it is s_{i-1} s_{i-2} ... s_j, and for i = j the identity.
@@ -26,7 +30,8 @@ Conventions fixed here and used everywhere:
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import combinations, permutations
+from itertools import combinations, permutations, starmap
+from operator import gt
 from typing import Iterator, List, Sequence, Tuple
 
 Partition = Tuple[int, ...]
@@ -41,150 +46,118 @@ class CombinatoricsError(ValueError):
 # ---------------------------------------------------------------------------
 
 
-class Perm:
-    """A permutation fixing everything outside a finite window.
-
-    Stored as the image tuple of the window [start, start + len - 1], trimmed
-    so that the first and last window points are moved (canonical form).
-    """
-
-    __slots__ = ("start", "images", "_hash")
-
-    def __init__(self, images: Sequence[int], start: int = 1):
-        images = tuple(images)
-        # canonicalize: trim fixed endpoints
-        lo, hi = 0, len(images)
-        while lo < hi and images[lo] == start + lo:
-            lo += 1
-        while hi > lo and images[hi - 1] == start + hi - 1:
-            hi -= 1
-        self.start = start + lo if hi > lo else 1
-        self.images = images[lo:hi]
-        self._hash = None
-        if sorted(self.images) != list(
-            range(self.start, self.start + len(self.images))
-        ):
-            raise CombinatoricsError(f"not a bijection of its window: {images}")
-
-    # -- basics --------------------------------------------------------------
-
-    def __call__(self, x: int) -> int:
-        idx = x - self.start
-        if 0 <= idx < len(self.images):
-            return self.images[idx]
-        return x
-
-    def is_identity(self) -> bool:
-        return not self.images
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Perm)
-            and self.start == other.start
-            and self.images == other.images
-        )
-
-    def __hash__(self):
-        if self._hash is None:
-            self._hash = hash((self.start, self.images))
-        return self._hash
-
-    def __repr__(self):
-        if not self.images:
-            return "Perm(id)"
-        return f"Perm({list(self.images)}, start={self.start})"
-
-    # -- group operations ------------------------------------------------------
-
-    def __mul__(self, other: "Perm") -> "Perm":
-        """(self * other)(x) = other(self(x)): apply self first."""
-        if not self.images:
-            return other
-        if not other.images:
-            return self
-        lo = min(self.start, other.start)
-        hi = max(
-            self.start + len(self.images), other.start + len(other.images)
-        )
-        return Perm([other(self(x)) for x in range(lo, hi)], lo)
-
-    def inv(self) -> "Perm":
-        if not self.images:
-            return self
-        out = [0] * len(self.images)
-        for k, v in enumerate(self.images):
-            out[v - self.start] = self.start + k
-        return Perm(out, self.start)
-
-    # -- Coxeter data ----------------------------------------------------------
-
-    def length(self) -> int:
-        """Inversion count = Coxeter length."""
-        im = self.images
-        return sum(
-            1
-            for a, b in combinations(range(len(im)), 2)
-            if im[a] > im[b]
-        )
-
-    def right_descents(self) -> List[int]:
-        """Indices i with length(self * s(i)) < length(self).
-
-        With left-to-right composition, self * s(i) swaps the values i, i+1,
-        so i is a descent when i+1 occurs before i in the one-line form."""
-        return self.inv().left_descents()
-
-    def left_descents(self) -> List[int]:
-        """Indices i with length(s(i) * self) < length(self)."""
-        out = []
-        for k in range(len(self.images) - 1):
-            if self.images[k] > self.images[k + 1]:
-                out.append(self.start + k)
-        return out
-
-    def word(self) -> Tuple[int, ...]:
-        """A reduced word (smallest right descent peeled last)."""
-        w = self
-        rev = []
-        while True:
-            ds = w.right_descents()
-            if not ds:
-                break
-            i = ds[0]
-            rev.append(i)
-            w = w * s(i)
-        return tuple(reversed(rev))
-
-    def min_window(self) -> Tuple[int, int]:
-        """Smallest window [lo, hi] containing all moved points (id: (1, 0))."""
-        if not self.images:
-            return (1, 0)
-        return (self.start, self.start + len(self.images) - 1)
-
-    def supported_in(self, lo: int, hi: int) -> bool:
-        a, b = self.min_window()
-        return a > b or (lo <= a and b <= hi)
+# (p(1), ..., p(m)) with p(m) != m, the identity (): see the conventions above
+Perm = Tuple[int, ...]
 
 
-IDENTITY = Perm(())
+def _canonical(images: Sequence[int], start: int) -> Perm:
+    """The tuple of the permutation with images of the window from start,
+    fixed points before the window prepended, trailing ones dropped."""
+    out = tuple(range(1, start)) + tuple(images)
+    m = len(out)
+    while m and out[m - 1] == m:
+        m -= 1
+    return out[:m]
+
+
+def perm(images: Sequence[int], start: int = 1) -> Perm:
+    """The permutation sending start + k to images[k] and fixing every other
+    point, checked to be a bijection of its window of positive integers."""
+    out = _canonical(images, start)
+    if sorted(out) != list(range(1, len(out) + 1)):
+        raise CombinatoricsError(f"not a bijection of its window: {tuple(images)}")
+    return out
+
+
+IDENTITY: Perm = ()
+
+
+def image(p: Perm, x: int) -> int:
+    return p[x - 1] if 1 <= x <= len(p) else x
+
+
+def compose(p: Perm, q: Perm) -> Perm:
+    """The product p * q: apply p first, (p * q)(x) = q(p(x))."""
+    if not p:
+        return q
+    if not q:
+        return p
+    m = max(len(p), len(q))
+    p += tuple(range(len(p) + 1, m + 1))
+    q += tuple(range(len(q) + 1, m + 1))
+    return _canonical([q[x - 1] for x in p], 1)
+
+
+def invert(p: Perm) -> Perm:
+    out = [0] * len(p)
+    for k, v in enumerate(p, 1):
+        out[v - 1] = k
+    return tuple(out)
+
+
+def length(p: Perm) -> int:
+    """Inversion count = Coxeter length."""
+    return sum(starmap(gt, combinations(p, 2)))
+
+
+def left_descents(p: Perm) -> List[int]:
+    """Indices i with length(s(i) * p) < length(p): p(i) > p(i+1)."""
+    return [i for i in range(1, len(p)) if p[i - 1] > p[i]]
+
+
+def right_descents(p: Perm) -> List[int]:
+    """Indices i with length(p * s(i)) < length(p).
+
+    With left-to-right composition, p * s(i) swaps the values i, i+1, so i
+    is a descent when i+1 occurs before i in the one-line form."""
+    return left_descents(invert(p))
+
+
+def reduced_word(p: Perm) -> Tuple[int, ...]:
+    """A reduced word (smallest right descent peeled last): a bubble sort of
+    the positions of the values, each swap the current smallest descent."""
+    pos = list(invert(p))
+    rev = []
+    k = 0
+    while k < len(pos) - 1:
+        if pos[k] > pos[k + 1]:
+            pos[k], pos[k + 1] = pos[k + 1], pos[k]
+            rev.append(k + 1)
+            k = max(k - 1, 0)
+        else:
+            k += 1
+    return tuple(reversed(rev))
+
+
+def min_window(p: Perm) -> Tuple[int, int]:
+    """Smallest window [lo, hi] containing all moved points (id: (1, 0))."""
+    lo = 1
+    while lo <= len(p) and p[lo - 1] == lo:
+        lo += 1
+    return lo, len(p)
+
+
+def supported_in(p: Perm, lo: int, hi: int) -> bool:
+    a, b = min_window(p)
+    return a > b or (lo <= a and b <= hi)
 
 
 def s(i: int) -> Perm:
     """Adjacent transposition swapping i and i+1."""
-    return Perm((i + 1, i), i)
+    return tuple(range(1, i)) + (i + 1, i)
 
 
-def perm_from_word(word: Sequence[int]) -> Perm:
+def perm_from_word(letters: Sequence[int]) -> Perm:
     w = IDENTITY
-    for i in word:
-        w = w * s(i)
+    for i in letters:
+        w = compose(w, s(i))
     return w
 
 
 def window_perms(lo: int, hi: int) -> List[Perm]:
     """All permutations of the window [lo, hi], in itertools order; an
     empty window (lo > hi) gives [IDENTITY]."""
-    return [Perm(p, lo) for p in permutations(range(lo, hi + 1))]
+    return [_canonical(p, lo) for p in permutations(range(lo, hi + 1))]
 
 
 def seg(i: int, j: int) -> Perm:
@@ -390,7 +363,7 @@ def coset_word(t: StandardTableau) -> Perm:
     for r in range(len(lam)):
         for c in range(lam[r]):
             images[tl[r][c] - start] = t[r][c]
-    return Perm(images, start)
+    return _canonical(images, start)
 
 
 def row_stabilizer_perms(lam: Partition, start: int = 1) -> List[Perm]:
@@ -399,7 +372,7 @@ def row_stabilizer_perms(lam: Partition, start: int = 1) -> List[Perm]:
     x = start
     for p in lam:
         block = window_perms(x, x + p - 1)
-        out = [a * b for a in out for b in block]
+        out = [compose(a, b) for a in out for b in block]
         x += p
     return out
 
@@ -437,8 +410,8 @@ def coset_reps_D(f: int, n: int) -> Tuple[Perm, ...]:
         w = IDENTITY
         for k in range(f, 0, -1):
             jk, ik = chosen[k - 1]
-            w = w * seg(2 * k, ik) * seg(2 * k - 1, jk)
-        if any(m > 2 * f for m in w.left_descents()):
+            w = compose(compose(w, seg(2 * k, ik)), seg(2 * k - 1, jk))
+        if any(m > 2 * f for m in left_descents(w)):
             raise CombinatoricsError(
                 f"{w} in D_({f},{n}) has a left descent above {2 * f}"
             )
@@ -449,7 +422,7 @@ def coset_reps_D(f: int, n: int) -> Tuple[Perm, ...]:
 def d_config(f: int, d: Perm) -> frozenset:
     """Bottom-pair configuration {{d(2k-1), d(2k)}} of a representative."""
     return frozenset(
-        frozenset((d(2 * k - 1), d(2 * k))) for k in range(1, f + 1)
+        frozenset((image(d, 2 * k - 1), image(d, 2 * k))) for k in range(1, f + 1)
     )
 
 

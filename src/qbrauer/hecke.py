@@ -17,7 +17,11 @@ from .combinatorics import (
     Partition,
     Perm,
     StandardTableau,
+    compose,
     coset_word,
+    invert,
+    length,
+    reduced_word,
     row_stabilizer_perms,
     s,
 )
@@ -40,9 +44,9 @@ def mul_gen(
     out: Dict[Perm, Coeff] = {}
     si = s(i)
     for w, c in h.items():
-        ws = w * si
+        ws = compose(w, si)
         add_term(out, ws, c)
-        if ws.length() > w.length():
+        if length(ws) > length(w):
             if inverse:
                 add_term(out, w, -A * c)
         elif not inverse:
@@ -61,7 +65,7 @@ def mul_word(
 
 def star(h: Dict[Perm, Coeff]) -> Dict[Perm, Coeff]:
     """The anti-automorphism T_w -> T_{w^{-1}}."""
-    return {w.inv(): c for w, c in h.items()}
+    return {invert(w): c for w, c in h.items()}
 
 
 def x_lambda(lam: Partition, window: Window) -> Dict[Perm, Coeff]:
@@ -70,7 +74,7 @@ def x_lambda(lam: Partition, window: Window) -> Dict[Perm, Coeff]:
     lo, hi = window
     if sum(lam) != hi - lo + 1:
         raise HeckeError(f"partition {lam} does not fill window {window}")
-    return {w: Q ** w.length() for w in row_stabilizer_perms(lam, lo)}
+    return {w: Q ** length(w) for w in row_stabilizer_perms(lam, lo)}
 
 
 def murphy_x(
@@ -83,5 +87,5 @@ def murphy_x(
     lam_t = tuple(len(r) for r in tx)
     if lam_s != lam_t:
         raise HeckeError("tableaux must share a shape")
-    x = mul_word(x_lambda(lam_s, window), coset_word(sx).word(), window)
-    return mul_word(star(x), coset_word(tx).word(), window)
+    x = mul_word(x_lambda(lam_s, window), reduced_word(coset_word(sx)), window)
+    return mul_word(star(x), reduced_word(coset_word(tx)), window)

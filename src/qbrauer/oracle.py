@@ -20,7 +20,7 @@ from fractions import Fraction
 from typing import Dict, FrozenSet, List, Sequence, Tuple
 
 from .coefficients import A, Coeff, DELTA, ONE, Q, Z, add_term
-from .combinatorics import Perm, brauer_dimension
+from .combinatorics import IDENTITY, Perm, brauer_dimension, image, s
 
 Word = Tuple[str, ...]  # letters like "T1", "T2", "E"
 Vector = Dict[Word, Coeff]
@@ -133,7 +133,7 @@ Diagram = FrozenSet[FrozenSet[Point]]
 
 def perm_diagram(p: Perm, n: int) -> Diagram:
     return frozenset(
-        frozenset({("t", i), ("b", p(i))}) for i in range(1, n + 1)
+        frozenset({("t", i), ("b", image(p, i))}) for i in range(1, n + 1)
     )
 
 
@@ -144,7 +144,7 @@ def e1_diagram(n: int) -> Diagram:
 
 
 def identity_diagram(n: int) -> Diagram:
-    return perm_diagram(Perm([]), n)
+    return perm_diagram(IDENTITY, n)
 
 
 def concat(d1: Diagram, d2: Diagram, n: int) -> Tuple[Diagram, int]:
@@ -217,8 +217,6 @@ def diagram_of_letters(letters: Sequence[Tuple], n: int) -> Tuple[Diagram, int]:
     """Diagram of a product of generator letters (T, Tinv, E1 symbols as used
     by the engine); Tinv maps to the same transposition as T in the classical
     limit.  Returns (diagram, loop count accumulated)."""
-    from .combinatorics import s
-
     d = identity_diagram(n)
     loops = 0
     for g in letters:

@@ -6,6 +6,7 @@ import pytest
 
 from qbrauer.cli import main
 from qbrauer.coefficients import add_term
+from qbrauer.combinatorics import reduced_word
 from qbrauer.hecke import mul_word
 
 
@@ -55,7 +56,8 @@ def hecke_product(window, *factors):
     right factor multiplies the product so far by c and the letters of v."""
     out = factors[0]
     for b in factors[1:]:
-        out = hecke_sum(
-            *(mul_word(hecke_scale(out, c), v.word(), window) for v, c in b.items())
-        )
+        out = hecke_sum(*(
+            mul_word(hecke_scale(out, c), reduced_word(v), window)
+            for v, c in b.items()
+        ))
     return out

@@ -33,7 +33,14 @@ from qbrauer.algebra import (
 )
 from qbrauer.cli import _relation_pairs
 from qbrauer.coefficients import A, DELTA, ONE, Q, QINV, Z, ZERO, ZINV
-from qbrauer.combinatorics import IDENTITY, coset_reps_D, perm_from_word, seg
+from qbrauer.combinatorics import (
+    IDENTITY,
+    coset_reps_D,
+    perm,
+    perm_from_word,
+    reduced_word,
+    seg,
+)
 from qbrauer.hecke import mul_word
 
 
@@ -228,7 +235,7 @@ def _merge_anchor_by_subsets(n, f):
     expanded by hand: one Hecke product T_kept T_{2f+2,2} per proper subset
     of the letters, weighted (-A)^(number of letters dropped)."""
     eng = get_engine(n)
-    tail = seg(2 * f + 2, 2).word()
+    tail = reduced_word(seg(2 * f + 2, 2))
     full = list(range(2 * f, 0, -1))
     out = e_power(f + 1, n)
     for mask in range(1, 1 << len(full)):
@@ -290,16 +297,14 @@ def test_hecke_subalgebra_agreement(n):
     """Products of deficiency-0 words match the Hecke algebra product."""
     from itertools import permutations
 
-    from qbrauer.combinatorics import Perm
-
     win = (1, n)
-    perms = [Perm(list(p)) for p in permutations(range(1, n + 1))]
+    perms = [perm(list(p)) for p in permutations(range(1, n + 1))]
     rng = random.Random(5)
     sample = rng.sample(
         [(u, v) for u in perms for v in perms], 30
     )
     for u, v in sample:
-        hprod = mul_word({u: ONE}, v.word(), win)
+        hprod = mul_word({u: ONE}, reduced_word(v), win)
         xa = AlgebraElt(n, {NormalWord(0, IDENTITY, u, IDENTITY): ONE})
         xb = AlgebraElt(n, {NormalWord(0, IDENTITY, v, IDENTITY): ONE})
         xprod = mul(xa, xb)

@@ -53,12 +53,14 @@ from qbrauer.coefficients import (
 )
 from qbrauer.combinatorics import (
     IDENTITY,
-    Perm,
     branching_list,
     coset_reps_D,
     coset_word,
+    invert,
     labels,
+    length,
     partitions,
+    perm,
     seg_word,
     std_tableaux,
     ud_dominates,
@@ -67,7 +69,7 @@ from qbrauer.combinatorics import (
     updown_tableaux,
 )
 from qbrauer.hecke import murphy_x, star, x_lambda
-from qbrauer.linalg import mat_det, mat_mul, mat_rank
+from qbrauer.linalg import mat_det, mat_mul
 
 
 def small_labels(n_max):
@@ -98,7 +100,7 @@ def test_murphy_expand_rebuilds_every_group_element():
     for window in ((1, 4), (3, 5)):
         lo, hi = window
         for p in permutations(range(lo, hi + 1)):
-            w = Perm(p, lo)
+            w = perm(p, lo)
             total = hecke_sum(*(
                 hecke_scale(murphy_x(s, t, window), c)
                 for (lam, s, t), c in murphy_expand(window, {w: ONE}).items()
@@ -114,7 +116,7 @@ def test_murphy_x_matches_its_formula():
         for lam in partitions(hi - lo + 1):
             x = x_lambda(lam, window)
             for s in std_tableaux(lam, lo):
-                left = hecke_product(window, {coset_word(s).inv(): ONE}, x)
+                left = hecke_product(window, {invert(coset_word(s)): ONE}, x)
                 for t in std_tableaux(lam, lo):
                     got = murphy_x(s, t, window)
                     assert got == hecke_product(window, left, {coset_word(t): ONE})
@@ -272,7 +274,7 @@ def test_gram_row_shape_is_poincare():
     from qbrauer.hecke import x_lambda as _x
 
     h = _x((3,), (1, 3))
-    poincare = sum((Q ** w.length()) * c for w, c in h.items())
+    poincare = sum((Q ** length(w)) * c for w, c in h.items())
     assert m3.gram() == [[poincare]]
 
 
@@ -487,7 +489,7 @@ def test_y_element_nonzero():
         mus = branching_list(f, lam, n)
         for mu in mus:
             y = y_element(f, lam, mu, n)
-            assert not y.is_zero(), (n, f, lam, mu)
+            assert y.terms, (n, f, lam, mu)
 
 
 def test_y_element_rejects_distant_shapes():
@@ -631,7 +633,9 @@ def test_v_layer_gram_matches_algebra_products():
         v = VLayer(n)
         ident = NormalWord(1, IDENTITY, IDENTITY, IDENTITY)
         elts = v.elements()
-        want = [[mul(x, sigma(y)).coeff(ident) for y in elts] for x in elts]
+        want = [
+            [mul(x, sigma(y)).terms.get(ident, ZERO) for y in elts] for x in elts
+        ]
         assert v.gram() == want, n
 
 

@@ -1,33 +1,42 @@
-import random
 import tracemalloc
+from itertools import combinations
 from math import factorial
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qbrauer.cells import ct_eigenvalue
 from qbrauer.coefficients import A, ONE, Q, ZERO, ZINV
 from qbrauer.combinatorics import (
     CombinatoricsError,
     IDENTITY,
-    Perm,
     branching_list,
     check_label,
+    compose,
     config_to_rep,
     coset_reps_D,
     coset_word,
-    d_config,
     dominance_key,
     dominates,
+    image,
+    invert,
     label_key,
     labels,
+    left_descents,
+    length,
+    min_window,
     nodes,
     partitions,
+    perm,
     perm_from_word,
+    reduced_word,
+    right_descents,
     s,
     seg,
     seg_word,
     std_tableaux,
     superstandard,
+    supported_in,
     ud_dominates,
     ud_key,
     ud_str,
@@ -91,7 +100,7 @@ def test_window_perms():
     ws = window_perms(2, 4)
     assert len(ws) == len(set(ws)) == 6
     assert ws[0] == IDENTITY and ws[1] == s(3)
-    assert all(w.supported_in(2, 4) for w in ws)
+    assert all(supported_in(w, 2, 4) for w in ws)
 
 
 def test_dominates():
@@ -123,7 +132,7 @@ def test_dominates_is_a_partial_order_reversed_by_conjugation():
 
 
 def apply_to_tableau(t, w):
-    return tuple(tuple(w(v) for v in row) for row in t)
+    return tuple(tuple(image(w, v) for v in row) for row in t)
 
 
 def test_std_tableaux_and_coset_word():
@@ -157,7 +166,7 @@ def test_coset_reps_counts():
             assert len(D) == expect
             assert len(set(D)) == len(D)
             # no left descent in the window, so T_w T_d is always reduced
-            assert all(m <= 2 * f for d in D for m in d.left_descents())
+            assert all(m <= 2 * f for d in D for m in left_descents(d))
 
 
 def test_rank_identity():
@@ -202,7 +211,7 @@ def test_coset_reps_pattern_and_reduced():
                     (ik - 2 * k) + (jk - (2 * k - 1))
                     for k, (jk, ik) in enumerate(ps, 1)
                 )
-                assert d.length() == wlen  # the pattern word is reduced
+                assert length(d) == wlen  # the pattern word is reduced
                 assert perm_from_word(pattern_word(f, ps)) == d
 
 
@@ -300,30 +309,92 @@ def test_ct_eigenvalue():
     assert ct_eigenvalue(t2, 2) == (Q**2 * ZINV**2 - ONE) / A
 
 
-def test_perm_basics():
+POINTS = range(1, 8)
+
+
+@st.composite
+def windows(draw):
+    """A window [lo, hi] inside [1, 7], possibly empty (hi = lo - 1)."""
+    lo = draw(st.integers(1, 7))
+    return lo, draw(st.integers(lo - 1, 7))
+
+
+@st.composite
+def window_images(draw):
+    """A window inside [1, 7] and a random bijection of it."""
+    lo, hi = draw(windows())
+    return lo, hi, draw(st.permutations(range(lo, hi + 1)))
+
+
+def is_canonical(p):
+    """Whether p is a bijection of [1, len(p)] with no trailing fixed point."""
+    return (
+        type(p) is tuple
+        and sorted(p) == list(range(1, len(p) + 1))
+        and (not p or p[-1] != len(p))
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    drawn=window_images(),
+    others=st.lists(window_images(), min_size=2, max_size=2),
+    data=st.data(),
+)
+def test_perm_basics(drawn, others, data):
     w = perm_from_word([1, 2, 1])
     assert w == perm_from_word([2, 1, 2])
-    assert w.length() == 3
-    random.seed(3)
-    for _ in range(100):
-        n = random.randint(2, 7)
-        im = list(range(1, n + 1))
-        random.shuffle(im)
-        w = Perm(im)
-        assert perm_from_word(w.word()) == w
-        assert len(w.word()) == w.length()
-        assert w * w.inv() == IDENTITY
-        for i in w.right_descents():
-            assert (w * s(i)).length() == w.length() - 1
-        for i in w.left_descents():
-            assert (s(i) * w).length() == w.length() - 1
+    assert length(w) == 3
+
+    lo, hi, images = drawn
+    w = perm(images, lo)
+    q, r = (perm(im, a) for a, _, im in others)
+    assert [image(w, lo + k) for k in range(len(images))] == list(images)
+    assert perm_from_word(reduced_word(w)) == w
+    assert len(reduced_word(w)) == length(w)
+    assert length(w) == sum(
+        1 for x, y in combinations(POINTS, 2) if image(w, x) > image(w, y)
+    )
+    assert compose(w, invert(w)) == IDENTITY == compose(invert(w), w)
+    assert compose(compose(w, q), r) == compose(w, compose(q, r))
+    assert all(image(compose(w, q), x) == image(q, image(w, x)) for x in POINTS)
+    for i in right_descents(w):
+        assert length(compose(w, s(i))) == length(w) - 1
+    for i in left_descents(w):
+        assert length(compose(s(i), w)) == length(w) - 1
+
+    moved = [x for x in POINTS if image(w, x) != x]
+    assert min_window(w) == ((min(moved), max(moved)) if moved else (1, 0))
+    assert supported_in(w, lo, hi)
+    a, b = data.draw(windows())
+    assert supported_in(w, a, b) == all(a <= x <= b for x in moved)
+
+    # every producer returns the canonical form
+    produced = [w, q, r, compose(w, q), invert(w)]
+    produced += [s(i) for i in range(lo, hi)]
+    produced += [seg(i, j) for i in range(lo, hi + 1) for j in range(lo, hi + 1)]
+    produced += window_perms(lo, min(hi, lo + 3))
+    if hi >= lo:
+        lam = data.draw(st.sampled_from(partitions(hi - lo + 1)))
+        produced.append(coset_word(data.draw(st.sampled_from(std_tableaux(lam, lo)))))
+    f = data.draw(st.integers(0, hi // 2))
+    produced += coset_reps_D(f, max(hi, 1))
+    assert all(is_canonical(p) for p in produced)
+
+
+@pytest.mark.parametrize(
+    "images, start", [((1, 1), 1), ((2, 3), 1), ((0, 1), 0), ((4, 2), 2)]
+)
+def test_perm_refuses_what_is_not_a_bijection(images, start):
+    with pytest.raises(CombinatoricsError, match="not a bijection"):
+        perm(images, start)
 
 
 def test_seg():
-    assert seg(2, 4).word() == (2, 3)
+    assert reduced_word(seg(2, 4)) == (2, 3)
     w = seg(3, 1)
-    assert (w(3), w(1), w(2)) == (1, 2, 3)
-    assert w.length() == 2
+    assert (image(w, 3), image(w, 1), image(w, 2)) == (1, 2, 3)
+    assert length(w) == 2
     assert seg(5, 5) == IDENTITY
 
 

@@ -7,8 +7,9 @@ from conftest import hecke_product, hecke_scale, hecke_sum
 from qbrauer.coefficients import A, ONE, Q, ZERO
 from qbrauer.combinatorics import (
     IDENTITY,
-    Perm,
+    invert,
     partitions,
+    perm,
     perm_from_word,
     s,
     std_tableaux,
@@ -65,16 +66,16 @@ def test_trace():
     # tau(T_x T_y) = [x == y^{-1}]
     for px in iperm(range(1, 4)):
         for py in iperm(range(1, 4)):
-            x, y = Perm(px), Perm(py)
+            x, y = perm(px), perm(py)
             got = trace(hecke_product(W3, {x: ONE}, {y: ONE}))
-            assert bool(got) == (x == y.inv())
-            if x == y.inv():
+            assert bool(got) == (x == invert(y))
+            if x == invert(y):
                 assert got == ONE
 
 
 def test_trace_symmetry_random():
     random.seed(5)
-    perms = [Perm(p) for p in iperm(range(1, 5))]
+    perms = [perm(p) for p in iperm(range(1, 5))]
     W = (1, 4)
     for _ in range(25):
         a = {random.choice(perms): Q ** random.randint(-2, 2)}
@@ -126,7 +127,7 @@ def rank_over_coeff(rows):
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_murphy_basis_invertible(n):
     W = (1, n)
-    basis_perms = [Perm(p) for p in iperm(range(1, n + 1))]
+    basis_perms = [perm(p) for p in iperm(range(1, n + 1))]
     rows = []
     for lam in partitions(n):
         for sx in std_tableaux(lam):
@@ -142,7 +143,7 @@ def test_regular_representation_closure():
     # defining relations as matrices, n <= 4
     for n in (3, 4):
         W = (1, n)
-        basis_perms = [Perm(p) for p in iperm(range(1, n + 1))]
+        basis_perms = [perm(p) for p in iperm(range(1, n + 1))]
         idx = {w: k for k, w in enumerate(basis_perms)}
 
         def mat(i):
