@@ -32,13 +32,15 @@ S_n (the quadratic rule) are expanded by hecke.mul_gen, also on
 the left, through the anti-automorphism star; the merge anchor of sand is
 one such product, of inverse letters (Engine._merge_anchor).
 
-The engine memoizes reduce, sand and the right action of each generator on
-each normal word.  Memo values are shared between callers and are never
-mutated: every operation on an AlgebraElt builds a new element.  Products
-of whole elements replay the generator letters of the right factor's normal
-words (mul); a cell module applies those same letters as its cached
-generator matrices instead (cells.CellModule.act_elt).  Every sum of
-elements on this path accumulates its terms in one dict (_lin_comb).
+An element (AlgebraElt) is its own term dict {NormalWord: Coeff}, with no
+zero coefficient, and carries only its rank n.  The engine memoizes reduce,
+sand and the right action of each generator on each normal word.  Memo
+values are shared between callers and are never mutated: every operation on
+an element builds a new one.  Products of whole elements replay the
+generator letters of the right factor's normal words (mul); a cell module
+applies those same letters as its cached generator matrices instead
+(cells.CellModule.act_elt).  Every sum and multiple of elements accumulates
+its terms in one dict (_lin_comb, through coefficients.add_scaled).
 
 MulTable is the regular representation: the action of every generator on
 every normal word, as sparse rows of word indices and coefficients, cached
@@ -136,14 +138,16 @@ def check_letter(g, n: int):
     return g
 
 
-class AlgebraElt:
-    """Sparse combination of normal words of the rank-n algebra."""
+class AlgebraElt(dict):
+    """Sparse combination of normal words of the rank-n algebra: its own term
+    dict, where the constructor drops the zero coefficients of input terms."""
 
-    __slots__ = ("n", "terms")
+    __slots__ = ("n",)
 
     def __init__(self, n: int, terms: Dict[NormalWord, Coeff] = None):
         self.n = n
-        self.terms = {w: c for w, c in (terms or {}).items() if c}
+        if terms:
+            self.update((w, c) for w, c in terms.items() if c)
 
     def _check(self, other):
         if self.n != other.n:
@@ -151,48 +155,34 @@ class AlgebraElt:
 
     def __add__(self, other: "AlgebraElt") -> "AlgebraElt":
         self._check(other)
-        out = dict(self.terms)
-        for w, c in other.terms.items():
-            add_term(out, w, c)
-        r = AlgebraElt(self.n)
-        r.terms = out
-        return r
+        return _lin_comb(self.n, ((ONE, self), (ONE, other)))
 
     def __neg__(self):
-        r = AlgebraElt(self.n)
-        r.terms = {w: -c for w, c in self.terms.items()}
-        return r
+        return AlgebraElt(self.n, {w: -c for w, c in self.items()})
 
     def __sub__(self, other):
         return self + (-other)
 
     def scale(self, c: Coeff) -> "AlgebraElt":
-        r = AlgebraElt(self.n)
-        if c:
-            r.terms = {w: c * v for w, v in self.terms.items()}
-        return r
+        return _lin_comb(self.n, ((c, self),))
 
     def __eq__(self, other):
         return (
             isinstance(other, AlgebraElt)
             and self.n == other.n
-            and self.terms == other.terms
+            and dict.__eq__(self, other)
         )
+
+    def __ne__(self, other):  # dict.__ne__ would ignore the rank
+        return not self == other
 
     def display_terms(self) -> List[Tuple]:
         """(f, d1, w, d2, coefficient) for each term, each permutation as its
         reduced word, sorted by (f, d1, w, d2): the order of reports."""
         return sorted(
-            ((x.f, *map(reduced_word, x[1:]), c) for x, c in self.terms.items()),
+            ((x.f, *map(reduced_word, x[1:]), c) for x, c in self.items()),
             key=lambda term: term[:4],
         )
-
-    def __repr__(self):
-        bits = [
-            f"({c})*[f={f};d1={list(d1)};w={list(w)};d2={list(d2)}]"
-            for f, d1, w, d2, c in self.display_terms()
-        ]
-        return " + ".join(bits) or "0"
 
 
 # ---------------------------------------------------------------------------
@@ -228,9 +218,6 @@ class Engine:
         self._steps += 1
         if self._steps > _STEP_BOUND:
             raise StuckWordError(f"step bound exceeded while normalizing {_at(f, u)}")
-
-    def one(self) -> AlgebraElt:
-        return AlgebraElt(self.n, {NormalWord(0, IDENTITY, IDENTITY, IDENTITY): ONE})
 
     # -- reduce: E^f T_u --------------------------------------------------------
 
@@ -391,7 +378,7 @@ class Engine:
 
     def right_mul_gen(self, x: AlgebraElt, g) -> AlgebraElt:
         return _lin_comb(
-            self.n, ((c, self._rmul_word(word, g)) for word, c in x.terms.items())
+            self.n, ((c, self._rmul_word(word, g)) for word, c in x.items())
         )
 
     def _rmul_word(self, x: NormalWord, g) -> AlgebraElt:
@@ -406,20 +393,16 @@ class Engine:
         n = self.n
         check_letter(g, n)
         f, d1, w, d2 = x
-        if g[0] == "Tinv":
-            return self._rmul_word(x, T(g[1])) - AlgebraElt(
-                n, {x: ONE}
-            ).scale(A)
+        if g[0] == "Tinv":  # T_i^{-1} = T_i - (q - q^{-1})
+            return _lin_comb(n, ((ONE, self._rmul_word(x, T(g[1]))), (-A, {x: ONE})))
         u = compose(w, d2)
         assert length(u) == length(w) + length(d2), (x,)
         if g[0] == "T":
-            out: Dict[NormalWord, Coeff] = {}
+            out = AlgebraElt(n)
             for u2, c in mul_gen({u: ONE}, g[1], (1, n)).items():
                 for (omega, dd), c2 in self.reduce(f, u2).items():
                     add_term(out, NormalWord(f, d1, omega, dd), c * c2)
-            r = AlgebraElt(n)
-            r.terms = out
-            return r
+            return out
         # g == E1
         res = self.sand(f, u)
         if d1 != IDENTITY:
@@ -430,10 +413,7 @@ class Engine:
 
     def sigma(self, x: AlgebraElt) -> AlgebraElt:
         r = AlgebraElt(self.n)
-        r.terms = {
-            NormalWord(y.f, y.d2, invert(y.w), y.d1): c
-            for y, c in x.terms.items()
-        }
+        r.update((NormalWord(y.f, y.d2, invert(y.w), y.d1), c) for y, c in x.items())
         return r
 
     def left_mul_gen(self, g, x: AlgebraElt) -> AlgebraElt:
@@ -464,18 +444,16 @@ class Engine:
         a._check(b)
         return _lin_comb(self.n, (
             (c, self.apply_letters(a, self.word_letters(word)))
-            for word, c in b.terms.items()
+            for word, c in b.items()
         ))
 
 
 def _lin_comb(n: int, pieces: Iterable[Tuple[Coeff, AlgebraElt]]) -> AlgebraElt:
     """The sum of c . x over pieces (c, x), accumulated in one dict."""
-    out: Dict[NormalWord, Coeff] = {}
+    out = AlgebraElt(n)
     for c, x in pieces:
-        add_scaled(out, x.terms, c)
-    r = AlgebraElt(n)
-    r.terms = out
-    return r
+        add_scaled(out, x, c)
+    return out
 
 
 def e_power_letters(f: int) -> List[Tuple]:
@@ -507,13 +485,13 @@ def get_engine(n: int) -> Engine:
 
 
 def one_elt(n: int) -> AlgebraElt:
-    return get_engine(n).one()
+    return e_power(0, n)
 
 
 def generator_elt(g, n: int) -> AlgebraElt:
     """T_i, Tinv_i or E_1 as a normal-form element."""
     eng = get_engine(n)
-    return eng.right_mul_gen(eng.one(), g)
+    return eng.right_mul_gen(one_elt(n), g)
 
 
 def elt_from_letters(letters: Sequence[Tuple], n: int) -> AlgebraElt:
@@ -535,8 +513,6 @@ def sigma(x: AlgebraElt) -> AlgebraElt:
 def e_power(k: int, n: int) -> AlgebraElt:
     if not (0 <= 2 * k <= n):
         raise AlgebraError(f"E^{k} requires n >= {2*k}")
-    if k == 0:
-        return one_elt(n)
     return AlgebraElt(n, {NormalWord(k, IDENTITY, IDENTITY, IDENTITY): ONE})
 
 
@@ -623,7 +599,7 @@ def phi_embed(x: AlgebraElt, n: int) -> AlgebraElt:
             h for g in small.word_letters(word)
             for h in (e3 if g == E1 else [(g[0], g[1] + 2)])
         ]))
-        for word, c in x.terms.items()
+        for word, c in x.items()
     ))
 
 
@@ -707,7 +683,7 @@ class MulTable:
         index = {w: i for i, w in enumerate(words)}
         rows = {
             g: [
-                sorted((index[v], c) for v, c in eng._rmul_word(w, g).terms.items())
+                sorted((index[v], c) for v, c in eng._rmul_word(w, g).items())
                 for w in words
             ]
             for g in cls.gens(n)

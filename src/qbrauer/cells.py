@@ -299,7 +299,7 @@ class CellModule:
         deficiency are dropped.  A word of smaller deficiency, or one with a
         nontrivial left coset part, is a reduction failure (right
         multiplication never produces one)."""
-        for wd, c in x.terms.items():
+        for wd, c in x.items():
             if wd.f > self.f:
                 continue
             if wd.f < self.f:
@@ -355,7 +355,7 @@ class CellModule:
             raise CellError(f"rank mismatch: {y.n} vs {self.n}")
         eng = get_engine(self.n)
         return self._terms_matrix(
-            [(c, eng.word_letters(w)) for w, c in y.terms.items()]
+            [(c, eng.word_letters(w)) for w, c in y.items()]
         )
 
     def _terms_matrix(self, terms) -> list:

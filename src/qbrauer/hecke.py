@@ -19,6 +19,7 @@ from .combinatorics import (
     StandardTableau,
     compose,
     coset_word,
+    image,
     invert,
     length,
     reduced_word,
@@ -44,9 +45,9 @@ def mul_gen(
     out: Dict[Perm, Coeff] = {}
     si = s(i)
     for w, c in h.items():
-        ws = compose(w, si)
-        add_term(out, ws, c)
-        if length(ws) > length(w):
+        add_term(out, compose(w, si), c)
+        wi = invert(w)  # the length goes up when i comes before i + 1 in w
+        if image(wi, i) < image(wi, i + 1):
             if inverse:
                 add_term(out, w, -A * c)
         elif not inverse:

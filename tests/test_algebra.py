@@ -62,7 +62,7 @@ def test_basis_closure_counts(n):
         x = AlgebraElt(n, {w: ONE})
         for g in MulTable.gens(n):
             y = eng.right_mul_gen(x, g)
-            assert set(y.terms) <= allowed
+            assert set(y) <= allowed
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
@@ -116,6 +116,31 @@ def test_sigma_fixes_generators():
         for g in (T(1), T(2), E1):
             x = generator_elt(g, n)
             assert sigma(x) == x
+
+
+def test_element_is_its_term_dict_and_its_rank():
+    word = NormalWord(0, IDENTITY, IDENTITY, IDENTITY)
+    terms = {word: Q, NormalWord(1, IDENTITY, IDENTITY, IDENTITY): ZERO}
+    x = AlgebraElt(2, terms)
+    assert isinstance(x, dict) and dict(x) == {word: Q}  # no zero coefficient
+    assert x.n == 2
+    assert AlgebraElt(2, terms) == x
+    assert AlgebraElt(3, terms) != x
+    assert not AlgebraElt(3, terms) == x
+    assert x != {word: Q} and not x == {word: Q}
+    assert x - x == AlgebraElt(2) and not x - x
+    assert dict(-x) == {word: -Q}
+    assert x.scale(ZERO) == AlgebraElt(2)
+    assert one_elt(2) == e_power(0, 2) == AlgebraElt(2, {word: ONE})
+
+
+def test_rank_mismatch_is_an_algebra_error():
+    from qbrauer.algebra import AlgebraError
+
+    with pytest.raises(AlgebraError, match="rank mismatch: 2 vs 3"):
+        one_elt(2) + one_elt(3)
+    with pytest.raises(AlgebraError, match="rank mismatch: 3 vs 2"):
+        one_elt(3) - one_elt(2)
 
 
 @pytest.mark.parametrize(
@@ -263,7 +288,7 @@ def test_engine_construction_enumerates_no_coset_representatives():
 
 def ideal_truncate(x, f):
     """Drop all words with deficiency >= f (image modulo that ideal)."""
-    return AlgebraElt(x.n, {w: c for w, c in x.terms.items() if w.f < f})
+    return AlgebraElt(x.n, {w: c for w, c in x.items() if w.f < f})
 
 
 def test_ideal_truncate():
@@ -308,15 +333,15 @@ def test_hecke_subalgebra_agreement(n):
         xa = AlgebraElt(n, {NormalWord(0, IDENTITY, u, IDENTITY): ONE})
         xb = AlgebraElt(n, {NormalWord(0, IDENTITY, v, IDENTITY): ONE})
         xprod = mul(xa, xb)
-        assert all(w.f == 0 for w in xprod.terms)
-        got = {w.w: c for w, c in xprod.terms.items()}
+        assert all(w.f == 0 for w in xprod)
+        got = {w.w: c for w, c in xprod.items()}
         assert got == hprod
 
 
 def _indexed(elt, words):
     """An AlgebraElt as a vector {word index: coefficient}."""
     index = {w: i for i, w in enumerate(words)}
-    return {index[w]: c for w, c in elt.terms.items()}
+    return {index[w]: c for w, c in elt.items()}
 
 
 def test_multable_cache_roundtrip(tmp_path):
@@ -356,12 +381,12 @@ def test_multable_shares_engine_memo_without_aliasing(monkeypatch):
         for g in MulTable.gens(n):
             image = other.right_mul_gen(AlgebraElt(n, {words[i]: ONE}), g)
             assert table.rows[g][i] == sorted(_indexed(image, words).items()), (i, g)
-    before = {k: dict(v.terms) for k, v in eng._rmul_memo.items()}
+    before = {k: dict(v) for k, v in eng._rmul_memo.items()}
     rows = {g: [list(row) for row in r] for g, r in table.rows.items()}
     CellModule(n, 1, (2,)).gram()
     mul(jm(n, n), tilde_e1(n))
     for k, terms in before.items():
-        assert eng._rmul_memo[k].terms == terms, k
+        assert dict(eng._rmul_memo[k]) == terms, k
     assert table.rows == rows
 
 

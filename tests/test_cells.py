@@ -489,7 +489,7 @@ def test_y_element_nonzero():
         mus = branching_list(f, lam, n)
         for mu in mus:
             y = y_element(f, lam, mu, n)
-            assert y.terms, (n, f, lam, mu)
+            assert y, (n, f, lam, mu)
 
 
 def test_y_element_rejects_distant_shapes():
@@ -634,7 +634,7 @@ def test_v_layer_gram_matches_algebra_products():
         ident = NormalWord(1, IDENTITY, IDENTITY, IDENTITY)
         elts = v.elements()
         want = [
-            [mul(x, sigma(y)).terms.get(ident, ZERO) for y in elts] for x in elts
+            [mul(x, sigma(y)).get(ident, ZERO) for y in elts] for x in elts
         ]
         assert v.gram() == want, n
 

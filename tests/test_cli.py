@@ -164,6 +164,22 @@ def test_semisimple_numeric():
     assert data["ok"] is True
 
 
+def test_semisimple_numeric_routes_that_disagree_are_a_mathematical_failure(
+    monkeypatch,
+):
+    import qbrauer.cli
+    from qbrauer.semisimple import SemisimpleError
+
+    def disagreeing(n, spec):
+        raise SemisimpleError("the two routes disagree")
+
+    monkeypatch.setattr(qbrauer.cli, "brute_semisimple", disagreeing)
+    res = run("semisimple", "--n", "3", "--numeric", "10007,3,3")
+    assert res.exit_code == 1
+    assert res.stdout == ""
+    assert res.stderr == "mathematical check failed: the two routes disagree\n"
+
+
 def _readme_commands():
     """The arguments of each qbrauer command in the README's sh blocks."""
     path = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
