@@ -56,6 +56,11 @@ with):
 The rule set below is validated empirically: closure over the (2n-1)!!
 normal words, the relations in the regular representation, and agreement
 with an independent free-quotient oracle at small rank.
+
+Every word in the segments T_{i,j} = T_{seg(i, j)} and their inverses, here
+(E^f, E_l, the Jucys-Murphy elements) and in cells.py, is spelled by two
+builders: seg_letters(i, j) for T_{i,j}, and seg_inv_letters(i, j) for
+T_{i,j}^{-1}, the same word reversed in Tinv letters.
 """
 
 from __future__ import annotations
@@ -125,6 +130,16 @@ def Tinv(i: int):
 
 
 E1 = ("E",)
+
+
+def seg_letters(i: int, j: int) -> List[Tuple]:
+    """Letters of T_{i,j}, the element T of combinatorics.seg(i, j)."""
+    return [T(k) for k in seg_word(i, j)]
+
+
+def seg_inv_letters(i: int, j: int) -> List[Tuple]:
+    """Letters of T_{i,j}^{-1}: the word of T_{i,j} reversed, in Tinv letters."""
+    return [Tinv(k) for k in reversed(seg_word(i, j))]
 
 
 def check_letter(g, n: int):
@@ -460,11 +475,7 @@ def e_power_letters(f: int) -> List[Tuple]:
     """Generator letters of E^f from E^(k+1) = E_1 T_{2,2k+2} T_{2k+1,1}^{-1} E^k."""
     letters: List[Tuple] = []
     for k in range(f - 1, 0, -1):
-        chunk = [E1]
-        chunk += [T(i) for i in seg_word(2, 2 * k + 2)]
-        # T_{2k+1,1}^{-1}: reversed letters, inverted
-        chunk += [Tinv(i) for i in reversed(seg_word(2 * k + 1, 1))]
-        letters += chunk
+        letters += [E1] + seg_letters(2, 2 * k + 2) + seg_inv_letters(2 * k + 1, 1)
     if f >= 1:
         letters += [E1]
     return letters
@@ -518,12 +529,8 @@ def e_power(k: int, n: int) -> AlgebraElt:
 
 def e_index_letters(l: int) -> List[Tuple]:
     """Generator letters of E_l = T_{l,1} T_{2,l+1}^{-1} E_1 T_{2,l+1} T_{l,1}^{-1}."""
-    letters: List[Tuple] = [T(i) for i in seg_word(l, 1)]
-    letters += [Tinv(i) for i in reversed(seg_word(2, l + 1))]
-    letters += [E1]
-    letters += [T(i) for i in seg_word(2, l + 1)]
-    letters += [Tinv(i) for i in reversed(seg_word(l, 1))]
-    return letters
+    return (seg_letters(l, 1) + seg_inv_letters(2, l + 1) + [E1]
+            + seg_letters(2, l + 1) + seg_inv_letters(l, 1))
 
 
 def e_index(l: int, n: int) -> AlgebraElt:
@@ -547,17 +554,10 @@ def jm_terms(i: int, n: int) -> List[Tuple[Coeff, List[Tuple]]]:
     out = []
     for j in range(1, i):
         # (j, i) = T_{j,i-1} T_{i-1} T_{i-1,j}
-        tletters = (
-            [T(k) for k in seg_word(j, i - 1)]
-            + [T(i - 1)]
-            + [T(k) for k in seg_word(i - 1, j)]
-        )
+        tletters = seg_letters(j, i - 1) + [T(i - 1)] + seg_letters(i - 1, j)
         # E_{j,i} = T_{1,j}^{-1} T_{i,2} E_1 T_{2,i} T_{j,1}^{-1}
-        eletters: List[Tuple] = [Tinv(k) for k in reversed(seg_word(1, j))]
-        eletters += [T(k) for k in seg_word(i, 2)]
-        eletters += [E1]
-        eletters += [T(k) for k in seg_word(2, i)]
-        eletters += [Tinv(k) for k in reversed(seg_word(j, 1))]
+        eletters = (seg_inv_letters(1, j) + seg_letters(i, 2) + [E1]
+                    + seg_letters(2, i) + seg_inv_letters(j, 1))
         out += [(ONE, tletters), (c, eletters)]
     return out
 
@@ -576,13 +576,8 @@ def jm_recursive(i: int, n: int) -> AlgebraElt:
     for k in range(2, i + 1):
         out = eng.left_mul_gen(T(k - 1), eng.right_mul_gen(out, T(k - 1)))
         out = out + generator_elt(T(k - 1), n)
-        eletters: List[Tuple] = [
-            Tinv(m) for m in reversed(seg_word(1, k - 1))
-        ]
-        eletters += [T(m) for m in seg_word(k, 2)]
-        eletters += [E1]
-        eletters += [T(m) for m in seg_word(2, k)]
-        eletters += [Tinv(m) for m in reversed(seg_word(k - 1, 1))]
+        eletters = (seg_inv_letters(1, k - 1) + seg_letters(k, 2) + [E1]
+                    + seg_letters(2, k) + seg_inv_letters(k - 1, 1))
         out = out - elt_from_letters(eletters, n).scale(Q * Q * ZINV)
     return out
 

@@ -15,9 +15,11 @@ ud_dominates in which the Jucys-Murphy elements are triangular: L_k m_t =
 c_t(k) m_t plus terms m_s with s strictly above t.  check_triangular
 certifies the diagonal and checks each nonzero off-diagonal entry against
 ud_dominates itself, so an entry at a pair the order leaves incomparable
-fails even above the diagonal.  A layer of the restriction filtration is the
-run of the basis through one level n-1 shape, and its spectrum is that
-certified diagonal of L_1 ... L_{n-1} (filtration_check).
+fails even above the diagonal.  The segment words of the recursion and of
+y_element come from algebra's builders seg_letters and seg_inv_letters.  A
+layer of the restriction filtration is the run of the basis through one
+level n-1 shape, and its spectrum is that certified diagonal of L_1 ...
+L_{n-1} (filtration_check).
 
 Reduction algorithm (vector): after multiplying a lifted basis element by a
 generator, drop all words of deficiency > f, group the remaining words by
@@ -26,7 +28,9 @@ Hecke algebra on the window letters, discard the components of a shape
 mu != lam that dominates lam (bigger cells), refuse any other mu != lam,
 and keep the coefficient of x_{t^lam, t} T_d as the coordinate at (t, d).
 A component of shape lam whose left tableau is not t^lam means the
-element left the row x_{t^lam, .}, and is refused.
+element left the row x_{t^lam, .}, and is refused.  The Murphy basis of a
+window is its cached pivot table (_murphy_pivots), and murphy_expand reads
+an expansion off it by one triangular solve.
 
 Element actions: a cell module is a right module, so the coordinates of
 x . y are the coordinates of x times the matrix of y, and the matrix of a
@@ -86,7 +90,6 @@ from .combinatorics import (
     length,
     partitions,
     reduced_word,
-    seg_word,
     shape_diff,
     std_tableaux,
     superstandard,
@@ -101,7 +104,6 @@ from .algebra import (
     E1,
     NormalWord,
     T,
-    Tinv,
     _lin_comb,
     e_index_letters,
     elt_from_letters,
@@ -109,6 +111,8 @@ from .algebra import (
     jm_terms,
     one_elt,
     right_mul_gen,
+    seg_inv_letters,
+    seg_letters,
     tilde_e1,
 )
 from .linalg import kernel_basis, mat_inverse, mat_mul, mat_rank
@@ -123,8 +127,11 @@ class CellError(ValueError):
 # ---------------------------------------------------------------------------
 
 
-class _MurphySolver:
-    """Forward elimination of the Murphy basis of a Hecke window.
+@lru_cache(maxsize=None)
+def _murphy_pivots(window: Tuple[int, int]) -> Dict[Perm, tuple]:
+    """Forward elimination of the Murphy basis of a Hecke window, as the
+    table {pivot: (normalized column, combination of keys (shape, s, t))}
+    in insertion order.
 
     Columns are the Murphy elements x_{st} over all shapes.  Each is reduced
     against the pivots stored before it and stored with a new pivot, so a
@@ -132,69 +139,50 @@ class _MurphySolver:
     it may be nonzero at later ones).  Pivots are chosen among longest
     remaining words, which keeps the elimination close to the length
     grading; ties are broken by the image tuples, as any total order gives
-    the same unique expansion."""
-
-    def __init__(self, window: Tuple[int, int]):
-        lo, hi = window
-        m = hi - lo + 1
-        self.window = window
-        # (pivot perm) -> (normalized column, combination of original keys)
-        self.pivots: Dict[Perm, Tuple[Dict[Perm, Coeff], Dict[tuple, Coeff]]] = {}
-        count = 0
-        for lam in partitions(m):
-            for sx in std_tableaux(lam, lo):
-                for tx in std_tableaux(lam, lo):
-                    self._insert((lam, sx, tx), murphy_x(sx, tx, window))
-                    count += 1
-        if count != math.factorial(max(m, 0)) or len(self.pivots) != count:
-            raise CellError("Murphy elements do not form a basis of the window")
-
-    def _insert(self, key: tuple, col: Dict[Perm, Coeff]):
-        # col is reduced in place: the caller hands over a dict of its own
-        combo: Dict[tuple, Coeff] = {key: ONE}
-        # reduce against existing pivots
-        for p, (pcol, pcombo) in self.pivots.items():
-            c = col.get(p)
-            if c:
-                add_scaled(col, pcol, -c)
-                add_scaled(combo, pcombo, -c)
-        if not col:
-            raise CellError("dependent Murphy element")
-        pivot = max(col, key=lambda w: (length(w), w))
-        inv = ONE / col[pivot]
-        col = {w: c * inv for w, c in col.items()}
-        combo = {k: c * inv for k, c in combo.items()}
-        self.pivots[pivot] = (col, combo)
-
-    def expand(self, h: Dict[Perm, Coeff]) -> Dict[tuple, Coeff]:
-        """Coefficients {(shape, s, t): coeff} of h in the Murphy basis.
-
-        One pass over the pivots in insertion order is a triangular solve:
-        subtracting a stored column leaves h unchanged at every earlier
-        pivot."""
-        work = dict(h)
-        out: Dict[tuple, Coeff] = {}
-        for p, (pcol, pcombo) in self.pivots.items():
-            c = work.get(p)
-            if c:
-                add_scaled(work, pcol, -c)
-                add_scaled(out, pcombo, c)
-        if work:
-            raise CellError("element is not in the span of the Murphy basis")
-        return out
-
-
-@lru_cache(maxsize=None)
-def _murphy_solver(window: Tuple[int, int]) -> _MurphySolver:
-    return _MurphySolver(window)
+    the same unique expansion.  A reduced column vanishes at every stored
+    pivot, so each pivot is new."""
+    lo, hi = window
+    pivots: Dict[Perm, tuple] = {}
+    for lam in partitions(hi - lo + 1):
+        tabs = std_tableaux(lam, lo)
+        for sx in tabs:
+            for tx in tabs:
+                col = murphy_x(sx, tx, window)  # a new dict, reduced in place
+                combo: Dict[tuple, Coeff] = {(lam, sx, tx): ONE}
+                for p, (pcol, pcombo) in pivots.items():
+                    c = col.get(p)
+                    if c:
+                        add_scaled(col, pcol, -c)
+                        add_scaled(combo, pcombo, -c)
+                if not col:
+                    raise CellError("dependent Murphy element")
+                pivot = max(col, key=lambda w: (length(w), w))
+                inv = ONE / col[pivot]
+                col = {w: c * inv for w, c in col.items()}
+                pivots[pivot] = (col, {k: c * inv for k, c in combo.items()})
+    if len(pivots) != math.factorial(max(hi - lo + 1, 0)):
+        raise CellError("Murphy elements do not form a basis of the window")
+    return pivots
 
 
 def murphy_expand(
     window: Tuple[int, int], h: Dict[Perm, Coeff]
 ) -> Dict[tuple, Coeff]:
     """Coefficients {(shape, s, t): coeff} of h, a Hecke element of the
-    window, in its Murphy basis."""
-    return _murphy_solver(window).expand(h)
+    window, in its Murphy basis.
+
+    One pass over the pivot table in insertion order is a triangular solve:
+    subtracting a stored column leaves h unchanged at every earlier pivot."""
+    work = dict(h)
+    out: Dict[tuple, Coeff] = {}
+    for p, (pcol, pcombo) in _murphy_pivots(window).items():
+        c = work.get(p)
+        if c:
+            add_scaled(work, pcol, -c)
+            add_scaled(out, pcombo, c)
+    if work:
+        raise CellError("element is not in the span of the Murphy basis")
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -215,13 +203,9 @@ def _lift_x_lambda(n: int, f: int, lam: Partition, window) -> AlgebraElt:
 
 def _removal_letters(i: int, f: int, b_k: int) -> list:
     """Letters of E_{2f-1} T_{i,2f}^{-1} T_{b_k,2f-1}^{-1}, the factor of a
-    box removal that raises the deficiency to f (the inverse of a product
-    is its reversed word of inverse letters)."""
-    return (
-        e_index_letters(2 * f - 1)
-        + [Tinv(x) for x in reversed(seg_word(i, 2 * f))]
-        + [Tinv(x) for x in reversed(seg_word(b_k, 2 * f - 1))]
-    )
+    box removal that raises the deficiency to f."""
+    return (e_index_letters(2 * f - 1) + seg_inv_letters(i, 2 * f)
+            + seg_inv_letters(b_k, 2 * f - 1))
 
 
 def ct_eigenvalue(t: UpDownTableau, k: int) -> Coeff:
@@ -288,9 +272,6 @@ class CellModule:
                 for word in self._words()
             ]
         return self._elements
-
-    def element(self, i: int) -> AlgebraElt:
-        return self.elements()[i]
 
     # -- reduction to coordinates ------------------------------------------
 
@@ -396,7 +377,7 @@ class CellModule:
         if self._gram is None:
             ref, support = self._pairing()
             base = []
-            for row in self.act_elt(self.element(ref)):
+            for row in self.act_elt(self.elements()[ref]):
                 if any(c for k, c in enumerate(row) if k not in support):
                     raise CellError(
                         "pairing product left the support of the reference "
@@ -448,14 +429,12 @@ class CellModule:
                 a_k = 2 * fi + sum(shape[:k])
                 a_km1 = 2 * fi + sum(shape[: k - 1])
                 sm = _lin_comb(self.n, [
-                    (Q ** (a_k - j),
-                     eng.apply_letters(sm, [T(x) for x in reversed(seg_word(j, i))]))
+                    (Q ** (a_k - j), eng.apply_letters(sm, seg_letters(i, j)))
                     for j in range(a_km1 + 1, a_k + 1)
                 ])
             else:
                 b_k = 2 * fi - 1 + sum(shape[:k])
-                letters = _removal_letters(i, fi, b_k)
-                sm = eng.apply_letters(sm, reversed(letters))
+                sm = eng.apply_letters(sm, reversed(_removal_letters(i, fi, b_k)))
         return eng.sigma(sm)
 
     def transition(self) -> list:
@@ -626,7 +605,7 @@ def y_element(f: int, lam, mu, n: int) -> AlgebraElt:
         k = shape_diff(lam, mu)[0]
         a_k = 2 * f + sum(lam[:k])
         base = _lift_x_lambda(n, f, lam, (2 * f + 1, n))
-        return eng.apply_letters(base, [T(i) for i in seg_word(a_k, n)])
+        return eng.apply_letters(base, seg_letters(a_k, n))
     if sum(mu) == sum(lam) + 1:
         # addition: mu = lam plus a box in row k
         if f == 0:
@@ -635,9 +614,8 @@ def y_element(f: int, lam, mu, n: int) -> AlgebraElt:
         b_k = 2 * f - 1 + sum(lam[:k])
         # sigma fixes the lift and every letter, so head . lift is
         # sigma(lift . the letters of head, reversed)
-        letters = _removal_letters(n, f, b_k)
         lift = _lift_x_lambda(n, f - 1, mu, (2 * f - 1, n - 1))
-        return eng.sigma(eng.apply_letters(lift, reversed(letters)))
+        return eng.sigma(eng.apply_letters(lift, reversed(_removal_letters(n, f, b_k))))
     raise CellError("mu must differ from lam by exactly one box")
 
 

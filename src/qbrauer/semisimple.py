@@ -126,19 +126,19 @@ def brute_semisimple(n: int, spec: NumericPoint) -> dict:
     if not isinstance(spec, NumericPoint):
         raise SemisimpleError("brute_semisimple needs a numeric point")
     e = quantum_characteristic(spec.characteristic, spec.q0)
-    witnesses = []
-    full_ok = True
-    for (f, lam) in labels(n):
-        d = gram_det_at(n, f, lam, spec)
-        zero = not d
-        witnesses.append({"f": f, "lambda": list(lam), "det_zero": zero})
-        if zero:
-            full_ok = False
+    # whether each rank-n determinant vanishes; the reduced route reads its
+    # rank-n labels from here rather than computing them again
+    zero_at = {(f, lam): not gram_det_at(n, f, lam, spec) for f, lam in labels(n)}
+    witnesses = [
+        {"f": f, "lambda": list(lam), "det_zero": zero}
+        for (f, lam), zero in zero_at.items()
+    ]
+    full_ok = not any(zero_at.values())
     reduced_ok = e > n
     reduced_witnesses = []
     if reduced_ok:
         for k, lam in deficiency_one_labels(n):
-            zero = not gram_det_at(k, 1, lam, spec)
+            zero = zero_at[1, lam] if k == n else not gram_det_at(k, 1, lam, spec)
             reduced_witnesses.append({"rank": k, "lambda": list(lam), "det_zero": zero})
             if zero:
                 reduced_ok = False

@@ -28,6 +28,8 @@ from qbrauer.algebra import (
     one_elt,
     phi_embed,
     right_mul_gen,
+    seg_inv_letters,
+    seg_letters,
     sigma,
     tilde_e1,
 )
@@ -49,6 +51,17 @@ def rank(n):
     for k in range(2 * n - 1, 0, -2):
         r *= k
     return r
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_segment_letters_spell_t_ij_and_its_inverse(n):
+    for i in range(1, n + 1):
+        for j in range(1, n + 1):
+            word = seg_letters(i, j)
+            assert elt_from_letters(word, n) == AlgebraElt(
+                n, {NormalWord(0, IDENTITY, seg(i, j), IDENTITY): ONE}
+            )
+            assert elt_from_letters(word + seg_inv_letters(i, j), n) == one_elt(n)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])

@@ -108,6 +108,12 @@ def test_murphy_expand_rebuilds_every_group_element():
             assert total == {w: ONE}
 
 
+def test_murphy_expand_refuses_an_element_outside_its_window():
+    # T_{s_1} has no pivot among the Murphy elements of the letters 3..4
+    with pytest.raises(CellError, match="not in the span"):
+        murphy_expand((3, 4), {perm((2, 1), 1): ONE})
+
+
 def test_murphy_x_matches_its_formula():
     # x_st = T_{d(s)^-1} x_lam T_{d(t)}, multiplied out term by term
     # (murphy_x itself uses right products and star only); star swaps s, t
