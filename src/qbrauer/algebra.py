@@ -481,13 +481,9 @@ def e_power_letters(f: int) -> List[Tuple]:
     return letters
 
 
-_engines: Dict[int, Engine] = {}
-
-
+@lru_cache(maxsize=None)
 def get_engine(n: int) -> Engine:
-    if n not in _engines:
-        _engines[n] = Engine(n)
-    return _engines[n]
+    return Engine(n)
 
 
 # ---------------------------------------------------------------------------

@@ -82,6 +82,7 @@ from .combinatorics import (
     UpDownTableau,
     branching_list,
     check_label,
+    config_to_rep,
     content,
     coset_reps_D,
     coset_word,
@@ -578,14 +579,16 @@ class CellModule:
         }
 
 
-_modules: Dict[tuple, CellModule] = {}
+@lru_cache(maxsize=None)
+def cell_module(n: int, f: int, lam: Partition) -> CellModule:
+    return CellModule(n, f, lam)
 
 
-def cell_module(n: int, f: int, lam) -> CellModule:
-    key = (n, f, tuple(lam))
-    if key not in _modules:
-        _modules[key] = CellModule(n, f, tuple(lam))
-    return _modules[key]
+def clear_caches() -> None:
+    """Empty every in-process cache: the engines, the cell modules, the
+    Murphy pivot tables and the coset representatives."""
+    for cached in (get_engine, cell_module, _murphy_pivots, coset_reps_D, config_to_rep):
+        cached.cache_clear()
 
 
 # ---------------------------------------------------------------------------

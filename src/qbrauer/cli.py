@@ -6,7 +6,9 @@ The command line is parsed by the standard library's argparse.  Each
 command returns its exit code: 0 success, 1 a mathematical check failed,
 2 usage error, 3 environment or cache error.  A usage error, whether the
 parser or a command finds it, prints the command's usage line and
-``qbrauer COMMAND: error: MESSAGE`` to stderr.
+``qbrauer COMMAND: error: MESSAGE`` to stderr.  Help and usage errors end
+through argparse's own exit, whose ``SystemExit`` main turns back into
+the exit code.  Every report carries its command's name as ``command``.
 """
 
 import argparse
@@ -71,24 +73,6 @@ MAX_Z_EXP = 10**6
 
 class UsageError(ValueError):
     """Bad command-line input: the command ends with exit code 2."""
-
-
-class _Exit(Exception):
-    """Ends a run with an exit code; main exits with it or returns it."""
-
-    def __init__(self, code):
-        super().__init__(code)
-        self.code = code
-
-
-class _Parser(argparse.ArgumentParser):
-    """argparse reports a usage error (code 2) or help (code 0) through
-    exit; raising instead lets main return the code."""
-
-    def exit(self, status=0, message=None):
-        if message:
-            sys.stderr.write(message)
-        raise _Exit(status)
 
 
 def _parse_partition(text):
@@ -162,8 +146,9 @@ def _environment_error(exc):
 
 
 def _emit(args, payload, exit_code=EXIT_OK):
-    """Print the report (or write it to --output); returns the exit code."""
-    payload["format_version"] = FORMAT_VERSION
+    """Print the report of args.command (or write it to --output); returns
+    the exit code."""
+    payload.update(command=args.command, format_version=FORMAT_VERSION)
     text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
     if args.output:
         try:
@@ -233,7 +218,6 @@ def verify_relations(args):
             failures.append({"relation": name, "word": None})
         checked += 1
     payload = {
-        "command": "verify-relations",
         "config": _config(n, max_n=5),
         "rank": len(words),
         "expected_rank": brauer_dimension(n),
@@ -253,7 +237,6 @@ def gram(args):
     g = specialized_gram(mod, spec)
     det = mat_det(g)
     payload = {
-        "command": "gram",
         "config": _config(
             n, f=f, **{"lambda": list(lam)}, z_exp=args.z_exp, numeric=args.numeric
         ),
@@ -280,7 +263,6 @@ def jm_spectrum(args):
         spectra[str(k)] = cert["diagonal"]
         ok = ok and cert["ok"]
     payload = {
-        "command": "jm-spectrum",
         "config": _config(n, f=f, **{"lambda": list(lam)}),
         "basis": [ud_str(t) for t in mod.ud],
         "spectra": spectra,
@@ -295,7 +277,6 @@ def branching(args):
     lam = _cell_label(args)
     r = cell_module(n, f, lam).filtration_check()
     payload = {
-        "command": "branching",
         "config": _config(n, f=f, **{"lambda": list(lam)}),
         "report": r,
     }
@@ -312,7 +293,6 @@ def scan_cmd(args):
     found = scan_exponents(n, lo, hi, seed=seed)
     predicted = {a for a in bad_exponent_set(n) if lo <= a <= hi}
     payload = {
-        "command": "scan",
         "config": _config(n, a_min=lo, a_max=hi, seed=seed),
         "vanishing_exponents": sorted(found),
         "predicted_bad_exponents": sorted(predicted),
@@ -327,7 +307,6 @@ def semisimple_cmd(args):
     spec = _spec_from_flags(args.z_exp, numeric)
     if spec is None:
         payload = {
-            "command": "semisimple",
             "config": _config(n, z_exp=None, numeric=None),
             "verdict": "semisimple",
             "detail": "generic parameters: no relation, infinite quantum characteristic",
@@ -339,7 +318,6 @@ def semisimple_cmd(args):
         observed_bad = scan_exponents(n, a, a)
         observed = a not in observed_bad
         payload = {
-            "command": "semisimple",
             "config": _config(n, z_exp=a, numeric=None),
             "predicted": predicted,
             "observed": observed,
@@ -353,7 +331,6 @@ def semisimple_cmd(args):
         sys.stderr.write(f"mathematical check failed: {exc}\n")
         return EXIT_MATH
     payload = {
-        "command": "semisimple",
         "config": _config(n, z_exp=None, numeric=numeric),
         "report": report,
         "ok": report["observed"] == report["predicted"],
@@ -400,7 +377,6 @@ def mul_cmd(args):
         for f, d1, w, d2, c in prod.display_terms()
     ]
     payload = {
-        "command": "mul",
         "config": _config(n, left=args.left, right=args.right),
         "terms": terms,
         "term_count": len(terms),
@@ -416,7 +392,6 @@ def basis_count(args):
     for w in words:
         by_f[str(w.f)] += 1
     payload = {
-        "command": "basis-count",
         "config": _config(n),
         "count": len(words),
         "expected": brauer_dimension(n),
@@ -445,7 +420,7 @@ def _int_in(lo, hi=None):
 
 
 def _parser():
-    top = _Parser(
+    top = argparse.ArgumentParser(
         prog="qbrauer",
         description="Exact computations in the two-parameter deformation of "
         "the Brauer algebra.",
@@ -500,14 +475,14 @@ def _parser():
 def main(argv=None, standalone_mode=True):
     """Run one command on argv (default sys.argv[1:]).  Exits with its exit
     code, or with standalone_mode false returns it, usage errors and help
-    included."""
+    included: argparse ends those by raising SystemExit."""
     try:
         args = _parser().parse_args(argv)
         try:
             code = args.run(args)
         except UsageError as exc:
             args.parser.error(str(exc))
-    except _Exit as exc:
+    except SystemExit as exc:
         code = exc.code
     if standalone_mode:
         sys.exit(code)

@@ -97,13 +97,8 @@ def _pshift(a: Terms, di: int, dj: int) -> Terms:
 
 
 def _content(values) -> int:
-    """gcd of some integers (0 when there are none), stopping at 1."""
-    g = 0
-    for v in values:
-        g = _igcd(g, v)
-        if g == 1:
-            break
-    return g
+    """gcd of some integers (0 when there are none)."""
+    return _igcd(*values)
 
 
 def _pmin_exps(a: Terms):

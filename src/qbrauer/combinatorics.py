@@ -30,7 +30,8 @@ Conventions fixed here and used everywhere:
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import combinations, permutations, starmap
+from itertools import accumulate, combinations, permutations, starmap
+from math import prod
 from operator import gt
 from typing import Iterator, List, Sequence, Tuple
 
@@ -203,11 +204,8 @@ CellLabel = Tuple[int, Partition]
 def dominance_key(lam: Partition):
     """The partial sums of lam, padded to length |lam|: dominates compares
     them entry by entry, and as a sort key they refine that order."""
-    acc, out = 0, []
-    for p in lam:
-        acc += p
-        out.append(acc)
-    return tuple(out) + (acc,) * (sum(lam) - len(out))
+    sums = tuple(accumulate(lam))
+    return sums + sums[-1:] * (sum(lam) - len(sums))
 
 
 def dominates(lam: Partition, mu: Partition) -> bool:
@@ -227,10 +225,7 @@ def label_key(k: int, lam: Partition):
 def brauer_dimension(n: int) -> int:
     """(2n-1)!!, the number of Brauer diagrams on 2n points and the
     dimension of the rank-n algebra."""
-    out = 1
-    for k in range(1, 2 * n, 2):
-        out *= k
-    return out
+    return prod(range(1, 2 * n, 2))
 
 
 def check_label(n: int, f: int, lam: Sequence[int]) -> Partition:

@@ -1,7 +1,6 @@
 """Tests for the normal-form engine of the deformed Brauer algebra."""
 
 import json
-import os
 import random
 
 import pytest
@@ -377,13 +376,12 @@ def test_multable_cache_roundtrip(tmp_path):
             assert dict(row) == _indexed(image, table.words)
 
 
-def test_multable_shares_engine_memo_without_aliasing(monkeypatch):
-    from qbrauer import algebra
+def test_multable_shares_engine_memo_without_aliasing():
     from qbrauer.algebra import Engine
-    from qbrauer.cells import CellModule
+    from qbrauer.cells import CellModule, clear_caches
 
     n = 4
-    monkeypatch.setattr(algebra, "_engines", {})
+    clear_caches()
     table = MulTable.build(n)
     eng = get_engine(n)
     words = all_normal_words(n)

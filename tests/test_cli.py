@@ -328,6 +328,7 @@ def test_cache_with_rows_of_the_wrong_shape_is_environment_error(tmp_path):
 
 def test_warm_verify_relations_reads_its_table(tmp_path, monkeypatch):
     from qbrauer import algebra
+    from qbrauer.cells import clear_caches
 
     cold = run("--cache-dir", str(tmp_path), "verify-relations", "--n", "3")
     assert cold.exit_code == 0, cold.output
@@ -335,7 +336,7 @@ def test_warm_verify_relations_reads_its_table(tmp_path, monkeypatch):
     def replay(self, x, g):
         raise AssertionError("the warm pass multiplied through the engine")
 
-    monkeypatch.setattr(algebra, "_engines", {})
+    clear_caches()
     monkeypatch.setattr(algebra.Engine, "_rmul_word_impl", replay)
     warm = run("--cache-dir", str(tmp_path), "verify-relations", "--n", "3")
     assert warm.exit_code == 0, warm.output
@@ -436,12 +437,14 @@ def test_basis_count_above_rank_eight_is_usage_error():
         ("semisimple", "--n", "0", "--numeric", "7,3,2"),
         ("semisimple", "--n", "1", "--numeric", "7,3,2"),
         ("gram", "--n", "0", "--f", "0", "--lambda", "[]"),
+        ("scan", "--n", "abc"),
     ],
 )
 def test_out_of_range_rank_is_usage_error(args):
     res = run(*args)
     assert res.exit_code == 2, res.output
-    assert "--n" in res.output
+    assert res.stdout == ""
+    assert "error: argument --n: " in res.stderr
 
 
 @pytest.mark.parametrize(

@@ -15,12 +15,16 @@ scan, semisimple at z = q^4 and the Jucys-Murphy spectrum of
 C(1, (2,1,1)), frozen while elimination still took the first nonzero
 entry of a column as its pivot (marked slow: about 20 s together on a
 2-core host).  Each job runs twice on one cache directory, so the cold
-and the warm pass are both checked byte for byte."""
+and the warm pass are both checked byte for byte.  The cold pass starts
+from empty in-process caches (clear_caches), so its report is that of a
+fresh process whatever tests ran before; the warm pass reuses them."""
 
 import os
 
 import pytest
 from conftest import run_cli
+
+from qbrauer.cells import clear_caches
 
 HERE = os.path.dirname(__file__)
 EXPECTED = os.path.join(HERE, os.pardir, "perfbench", "expected")
@@ -66,6 +70,7 @@ def check_report(path, argv, cache_dir, monkeypatch):
     monkeypatch.setenv("QBRAUER_CACHE_DIR", str(cache_dir))
     with open(path, newline="") as fh:
         expected = fh.read()
+    clear_caches()
     for cache_pass in ("cold", "warm"):
         res = run_cli(*argv)
         assert res.exit_code == 0, (cache_pass, res.output)
