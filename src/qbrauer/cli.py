@@ -70,6 +70,9 @@ EXIT_ENV = 3
 # terms cannot be allocated)
 MAX_Z_EXP = 10**6
 
+# the largest rank verify-relations accepts, also printed in its report
+MAX_RELATIONS_N = 5
+
 
 class UsageError(ValueError):
     """Bad command-line input: the command ends with exit code 2."""
@@ -218,7 +221,7 @@ def verify_relations(args):
             failures.append({"relation": name, "word": None})
         checked += 1
     payload = {
-        "config": _config(n, max_n=5),
+        "config": _config(n, max_n=MAX_RELATIONS_N),
         "rank": len(words),
         "expected_rank": brauer_dimension(n),
         "relations_checked": checked,
@@ -445,7 +448,7 @@ def _parser():
 
     numeric_help = "numeric point p,q0,z0: p prime, or p=0 and rational q0, z0"
 
-    command("verify-relations", verify_relations, 2, 5)
+    command("verify-relations", verify_relations, 2, MAX_RELATIONS_N)
 
     z_exp = _int_in(-MAX_Z_EXP, MAX_Z_EXP)
     sub = label(command("gram", gram, 1))

@@ -348,18 +348,6 @@ class Coeff:
     def from_int(c: int) -> "Coeff":
         return Coeff({(0, 0): c} if c else {})
 
-    @staticmethod
-    def monomial(c: int, i: int, j: int) -> "Coeff":
-        return Coeff({(i, j): c} if c else {})
-
-    @staticmethod
-    def q_power(i: int) -> "Coeff":
-        return Coeff.monomial(1, i, 0)
-
-    @staticmethod
-    def z_power(j: int) -> "Coeff":
-        return Coeff.monomial(1, 0, j)
-
     # -- structure ---------------------------------------------------------
 
     def __bool__(self):
@@ -528,11 +516,11 @@ def parse_coeff(s: str) -> Coeff:
 # ---------------------------------------------------------------------------
 
 ZERO = Coeff({})
-ONE = Coeff.from_int(1)
-Q = Coeff.q_power(1)
-QINV = Coeff.q_power(-1)
-Z = Coeff.z_power(1)
-ZINV = Coeff.z_power(-1)
+ONE = Coeff({(0, 0): 1})
+Q = Coeff({(1, 0): 1})
+QINV = Coeff({(-1, 0): 1})
+Z = Coeff({(0, 1): 1})
+ZINV = Coeff({(0, -1): 1})
 A = Q - QINV  # q - q^-1
 
 

@@ -12,15 +12,18 @@ Two oracles, both deliberately built without the rewriting engine:
 
 * Brauer-diagram concatenation with an integer loop parameter, used to
   validate classical limits (z = q^a, then q -> 1) of structure constants.
+  A diagram on 2n points is the tuple of each point's partner, a pairing
+  with no fixed points: top point i sits at index i - 1 and bottom point i
+  at index n + i - 1, so the identity of rank 2 is (2, 3, 0, 1).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict, FrozenSet, List, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from .coefficients import A, Coeff, DELTA, ONE, Q, Z, add_term
-from .combinatorics import IDENTITY, Perm, brauer_dimension, image, s
+from .combinatorics import IDENTITY, Perm, brauer_dimension, image, invert, s
 
 Word = Tuple[str, ...]  # letters like "T1", "T2", "E"
 Vector = Dict[Word, Coeff]
@@ -127,20 +130,17 @@ class FreeQuotientOracle:
 # Brauer diagrams (classical limit target)
 # ---------------------------------------------------------------------------
 
-Point = Tuple[str, int]  # ("t", i) top row, ("b", i) bottom row
-Diagram = FrozenSet[FrozenSet[Point]]
+Diagram = Tuple[int, ...]  # partner of each point: top i at i - 1, bottom i at n + i - 1
 
 
 def perm_diagram(p: Perm, n: int) -> Diagram:
-    return frozenset(
-        frozenset({("t", i), ("b", image(p, i))}) for i in range(1, n + 1)
-    )
+    """Top i joined to bottom p(i)."""
+    top = tuple(n + image(p, i) - 1 for i in range(1, n + 1))
+    return top + tuple(image(invert(p), j) - 1 for j in range(1, n + 1))
 
 
 def e1_diagram(n: int) -> Diagram:
-    arcs = [frozenset({("t", 1), ("t", 2)}), frozenset({("b", 1), ("b", 2)})]
-    arcs += [frozenset({("t", i), ("b", i)}) for i in range(3, n + 1)]
-    return frozenset(arcs)
+    return (1, 0) + tuple(range(n + 2, 2 * n)) + (n + 1, n) + tuple(range(2, n))
 
 
 def identity_diagram(n: int) -> Diagram:
@@ -148,61 +148,37 @@ def identity_diagram(n: int) -> Diagram:
 
 
 def concat(d1: Diagram, d2: Diagram, n: int) -> Tuple[Diagram, int]:
-    """Stack d1 on top of d2; return (resulting diagram, closed loop count)."""
-    # middle row: bottom of d1 glued to top of d2; union-find over tagged points
-    def tag(layer: str, pt: Point) -> Tuple[str, str, int]:
-        row, i = pt
-        if layer == "hi":
-            return ("top", row, i) if row == "t" else ("mid", "m", i)
-        return ("mid", "m", i) if row == "t" else ("bot", row, i)
+    """Stack d1 on top of d2; return (resulting diagram, closed loop count).
 
-    parent: Dict[Tuple, Tuple] = {}
-
-    def find(x):
-        while parent.setdefault(x, x) != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(x, y):
-        rx, ry = find(x), find(y)
-        if rx != ry:
-            parent[rx] = ry
-
-    edges: List[Tuple[Tuple, Tuple]] = []
-    for layer, d in (("hi", d1), ("lo", d2)):
-        for arc in d:
-            a, b = tuple(arc)
-            edges.append((tag(layer, a), tag(layer, b)))
-    for x, y in edges:
-        union(x, y)
-
-    # each connected component contains 0 or 2 outer points (top/bot);
-    # components with none are closed loops
-    comp_outer: Dict[Tuple, List[Tuple]] = {}
-    comp_seen: Dict[Tuple, bool] = {}
-    for x, y in edges:
-        for v in (x, y):
-            r = find(v)
-            comp_seen[r] = True
-            if v[0] != "mid":
-                comp_outer.setdefault(r, [])
-                if v not in comp_outer[r]:
-                    comp_outer[r].append(v)
+    The middle row glues the bottom of d1 (index n + k) to the top of d2
+    (index k).  Each strand from a top point of d1 or a bottom point of d2 is
+    followed through the middle row to its other end; every middle point no
+    strand visited lies on a closed loop."""
+    for d in (d1, d2):
+        if not (isinstance(d, tuple) and len(d) == 2 * n and all(
+            type(y) is int and 0 <= y < 2 * n and y != x and d[y] == x
+            for x, y in enumerate(d)
+        )):
+            raise OracleError(f"not a fixed-point-free pairing of {2 * n} points: {d!r}")
+    layers, mid = (d1, d2), (n, 0)  # index of middle point 0 in each layer
+    out, seen = [0] * (2 * n), [False] * n
+    for x in range(2 * n):
+        below = x >= n
+        y = layers[below][x]
+        while (y >= n) != below:  # y is a middle point: cross to the other layer
+            k = y - mid[below]
+            seen[k] = True
+            below = not below
+            y = layers[below][k + mid[below]]
+        out[x] = y
     loops = 0
-    arcs: List[FrozenSet[Point]] = []
-    for r in comp_seen:
-        outer = comp_outer.get(r, [])
-        if not outer:
+    for k in range(n):
+        if not seen[k]:  # k lies on a closed loop: walk once around it
             loops += 1
-        elif len(outer) == 2:
-            pts = []
-            for kind, row, i in outer:
-                pts.append((("t", i) if kind == "top" else ("b", i)))
-            arcs.append(frozenset(pts))
-        else:
-            raise OracleError("malformed diagram concatenation")
-    return frozenset(arcs), loops
+            while not seen[k]:
+                seen[k] = seen[d2[k]] = True
+                k = d1[n + d2[k]] - n
+    return tuple(out), loops
 
 
 def brauer_mul(

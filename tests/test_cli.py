@@ -79,6 +79,10 @@ def test_gram_invalid_label_is_usage_error():
     assert run("gram", "--n", "3", "--f", "5", "--lambda", "[1]").exit_code == 2
     assert run("gram", "--n", "3", "--f", "1", "--lambda", "(1)").exit_code == 2
     assert run("gram", "--n", "3", "--f", "1", "--lambda", "[1,2]").exit_code == 2
+    for lam in ("[a]", "[1,]"):
+        res = run("gram", "--n", "3", "--f", "1", "--lambda", lam)
+        assert res.exit_code == 2
+        assert "partition entries must be integers" in res.stderr
 
 
 @pytest.mark.parametrize("command", ["gram", "jm-spectrum", "branching"])

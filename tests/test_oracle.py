@@ -3,6 +3,7 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from qbrauer.algebra import (
     E1,
@@ -15,10 +16,12 @@ from qbrauer.algebra import (
     mul,
 )
 from qbrauer.coefficients import ONE, classical_limit
+from qbrauer.combinatorics import compose, perm
 from qbrauer.oracle import (
     FreeQuotientOracle,
     OracleError,
     brauer_mul,
+    concat,
     diagram_of_letters,
     e1_diagram,
     identity_diagram,
@@ -108,11 +111,9 @@ def test_diagram_concatenation_basics():
     assert d == e and factor == 1
 
 
-@pytest.mark.parametrize("a", [-2, -1, 0, 1, 2, 3])
-def test_classical_limit_structure_constants_match_brauer(a):
-    """With z = q^a, q -> 1, the structure constants of the rank-3 algebra
+def check_classical_limit(n, a):
+    """With z = q^a, q -> 1, the structure constants of the rank-n algebra
     become those of the classical diagram algebra with loop factor a."""
-    n = 3
     words = all_normal_words(n)
     diagrams = {}
     for w in words:
@@ -134,3 +135,88 @@ def test_classical_limit_structure_constants_match_brauer(a):
                 assert lim == expect, (x, y, w)
             if factor:
                 assert by_diagram[target] in prod
+
+
+@pytest.mark.parametrize("a", [-2, -1, 0, 1, 2, 3])
+def test_classical_limit_structure_constants_match_brauer(a):
+    check_classical_limit(3, a)
+
+
+@pytest.mark.parametrize("a", [0, 3])
+def test_classical_limit_structure_constants_match_brauer_rank4(a):
+    """All 105^2 products of rank-4 normal words, at delta = 0 and 3."""
+    check_classical_limit(4, a)
+
+
+# random Brauer diagrams: a shuffle of the 2n points, paired off two by two
+@st.composite
+def diagrams(draw, n):
+    points = draw(st.permutations(range(2 * n)))
+    d = [0] * (2 * n)
+    for x, y in zip(points[::2], points[1::2]):
+        d[x], d[y] = y, x
+    return tuple(d)
+
+
+ranks = st.integers(1, 5)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_identity_is_neutral_and_closes_no_loop(data):
+    n = data.draw(ranks)
+    d = data.draw(diagrams(n))
+    assert concat(identity_diagram(n), d, n) == (d, 0)
+    assert concat(d, identity_diagram(n), n) == (d, 0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_concat_is_associative_with_the_same_loops(data):
+    n = data.draw(ranks)
+    x, y, z = (data.draw(diagrams(n)) for _ in range(3))
+    xy, k1 = concat(x, y, n)
+    yz, k2 = concat(y, z, n)
+    left, k3 = concat(xy, z, n)
+    right, k4 = concat(x, yz, n)
+    assert left == right
+    assert k1 + k3 == k2 + k4
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_permutation_diagrams_multiply_as_permutations(data):
+    n = data.draw(ranks)
+    p, q = (perm(data.draw(st.permutations(range(1, n + 1)))) for _ in range(2))
+    assert concat(perm_diagram(p, n), perm_diagram(q, n), n) == (
+        perm_diagram(compose(p, q), n),
+        0,
+    )
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_e1_diagram_is_idempotent_up_to_one_loop(n):
+    e = e1_diagram(n)
+    assert concat(e, e, n) == (e, 1)
+
+
+def is_pairing(d, n):
+    points = list(range(2 * n))
+    return sorted(d) == points and all(d[d[x]] == x != d[x] for x in points)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_concat_refuses_what_is_not_a_pairing(data):
+    n = data.draw(ranks)
+    if data.draw(st.booleans()):  # a diagram with one point sent elsewhere
+        bad = list(data.draw(diagrams(n)))
+        bad[data.draw(st.integers(0, 2 * n - 1))] = data.draw(st.integers(-1, 2 * n))
+    else:
+        bad = data.draw(st.lists(st.integers(-1, 2 * n), max_size=2 * n + 1))
+    bad = tuple(bad)
+    assume(not is_pairing(bad, n))
+    with pytest.raises(OracleError):
+        concat(bad, identity_diagram(n), n)
+    with pytest.raises(OracleError):
+        concat(identity_diagram(n), bad, n)
