@@ -96,11 +96,6 @@ def _pshift(a: Terms, di: int, dj: int) -> Terms:
     return {(i + di, j + dj): v for (i, j), v in a.items()}
 
 
-def _content(values) -> int:
-    """gcd of some integers (0 when there are none)."""
-    return _igcd(*values)
-
-
 def _pmin_exps(a: Terms):
     mi = min(i for i, _ in a)
     mj = min(j for _, j in a)
@@ -131,7 +126,7 @@ def _uprim(a: list) -> list:
     a = _trim(list(a))
     if not a:
         return a
-    g = _content(a)
+    g = _igcd(*a)
     if a[-1] < 0:
         g = -g
     return a if g == 1 else [c // g for c in a]
@@ -225,7 +220,7 @@ def _zprim(rows):
     """(primitive part, content in Z[q]) of a polynomial in Z[q][z], ([], [])
     for zero; the content's integer factor is dropped."""
     rows = _trim([list(r) for r in rows])
-    ic = _content(c for r in rows for c in r)
+    ic = _igcd(*(c for r in rows for c in r))
     if ic > 1:
         rows = [[c // ic for c in r] for r in rows]
     cont = _zcontent(rows)
@@ -309,7 +304,7 @@ def _canonical(num: Terms, den: Terms):
         else:
             num0, den = _cancel_in_q(num0, den)
         num = _pshift(num0, ni, nj)
-    c = _content((*num.values(), *den.values()))
+    c = _igcd(*num.values(), *den.values())
     if c > 1:
         num = {k: v // c for k, v in num.items()}
         den = {k: v // c for k, v in den.items()}
@@ -524,11 +519,6 @@ ZINV = Coeff({(0, -1): 1})
 A = Q - QINV  # q - q^-1
 
 
-def delta() -> Coeff:
-    """(z - z^-1)/(q - q^-1)."""
-    return (Z - ZINV) / A
-
-
 def add_term(out: dict, key, c) -> None:
     """out[key] += c in a sparse combination {key: coefficient}: a key whose
     coefficient vanishes is removed, so a zero value is never stored."""
@@ -547,7 +537,7 @@ def add_scaled(out: dict, terms: dict, c) -> None:
         add_term(out, key, c * v)
 
 
-DELTA = delta()
+DELTA = (Z - ZINV) / A  # delta = (z - z^-1)/(q - q^-1)
 
 
 # ---------------------------------------------------------------------------

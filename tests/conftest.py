@@ -1,5 +1,6 @@
 import io
 from contextlib import redirect_stderr, redirect_stdout
+from math import prod
 from typing import NamedTuple
 
 import pytest
@@ -61,3 +62,14 @@ def hecke_product(window, *factors):
             for v, c in b.items()
         ))
     return out
+
+
+def odd_double_factorial(n):
+    """(2n - 1)!! = 1 . 3 . 5 ... (2n - 1): the number of Brauer diagrams on
+    2n points, so the dimension of the rank-n algebra."""
+    return prod(range(1, 2 * n, 2))
+
+
+def transpose(m):
+    """The transpose of a matrix given as a list of rows."""
+    return [list(col) for col in zip(*m)]

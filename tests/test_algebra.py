@@ -2,12 +2,15 @@
 
 import json
 import random
+from itertools import combinations
 
 import pytest
+from conftest import odd_double_factorial
 
 from qbrauer.algebra import (
     E1,
     AlgebraElt,
+    AlgebraError,
     Engine,
     MulTable,
     StuckWordError,
@@ -27,6 +30,7 @@ from qbrauer.algebra import (
     one_elt,
     phi_embed,
     right_mul_gen,
+    rules_digest,
     seg_inv_letters,
     seg_letters,
     sigma,
@@ -45,13 +49,6 @@ from qbrauer.combinatorics import (
 from qbrauer.hecke import mul_word
 
 
-def rank(n):
-    r = 1
-    for k in range(2 * n - 1, 0, -2):
-        r *= k
-    return r
-
-
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_segment_letters_spell_t_ij_and_its_inverse(n):
     for i in range(1, n + 1):
@@ -63,22 +60,23 @@ def test_segment_letters_spell_t_ij_and_its_inverse(n):
             assert elt_from_letters(word + seg_inv_letters(i, j), n) == one_elt(n)
 
 
-@pytest.mark.parametrize("n", [2, 3, 4, 5])
-def test_basis_closure_counts(n):
+def check_basis_closure(n):
+    """The rank-n normal words are (2n - 1)!! distinct words, and each
+    generator T_i, T_i^-1, E_1 maps every one of them into their span."""
     words = all_normal_words(n)
-    assert len(words) == rank(n)
-    assert len(set(words)) == rank(n)
+    assert len(words) == len(set(words)) == odd_double_factorial(n)
     eng = get_engine(n)
     allowed = set(words)
+    gens = [T(i) for i in range(1, n)] + [Tinv(i) for i in range(1, n)] + [E1]
     for w in words:
         x = AlgebraElt(n, {w: ONE})
-        for g in MulTable.gens(n):
-            y = eng.right_mul_gen(x, g)
-            assert set(y) <= allowed
+        for g in gens:
+            assert set(eng.right_mul_gen(x, g)) <= allowed, (w, g)
 
 
-@pytest.mark.parametrize("n", [2, 3, 4, 5])
-def test_defining_relations_regular_representation(n):
+def check_relations_on_basis(n):
+    """The two sides of every defining relation act alike on each rank-n
+    normal word: the relations hold in the regular representation."""
     eng = get_engine(n)
     words = all_normal_words(n)
     for _, left, right in _relation_pairs(n):
@@ -91,20 +89,34 @@ def test_defining_relations_regular_representation(n):
             )
 
 
-@pytest.mark.parametrize("n", [2, 3, 4, 5])
-def test_e1_relations(n):
+def check_e1_relations(n):
+    """The relations of E_1 with itself, T_1 and T_2 at rank n."""
     e1 = generator_elt(E1, n)
     # E_1^2 = delta E_1
     assert mul(e1, e1) == e1.scale(DELTA)
     # T_1 E_1 = E_1 T_1 = q E_1
-    t1e = mul(generator_elt(T(1), n), e1)
-    assert t1e == e1.scale(Q)
+    assert mul(generator_elt(T(1), n), e1) == e1.scale(Q)
     assert mul(e1, generator_elt(T(1), n)) == e1.scale(Q)
     if n >= 3:
         # E_1 T_2 E_1 = z E_1
         assert elt_from_letters([E1, T(2), E1], n) == e1.scale(Z)
         # E_1 T_2^{-1} E_1 = z^{-1} E_1
         assert elt_from_letters([E1, Tinv(2), E1], n) == e1.scale(ZINV)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_basis_closure_counts(n):
+    check_basis_closure(n)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_defining_relations_regular_representation(n):
+    check_relations_on_basis(n)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_e1_relations(n):
+    check_e1_relations(n)
 
 
 @pytest.mark.parametrize("n", [3, 4, 5])
@@ -147,8 +159,6 @@ def test_element_is_its_term_dict_and_its_rank():
 
 
 def test_rank_mismatch_is_an_algebra_error():
-    from qbrauer.algebra import AlgebraError
-
     with pytest.raises(AlgebraError, match="rank mismatch: 2 vs 3"):
         one_elt(2) + one_elt(3)
     with pytest.raises(AlgebraError, match="rank mismatch: 3 vs 2"):
@@ -167,8 +177,6 @@ def test_rank_mismatch_is_an_algebra_error():
     ],
 )
 def test_letter_check_refuses_letters_outside_the_rank(g, n, message):
-    from qbrauer.algebra import AlgebraError
-
     def on_the_identity(g, n):
         return right_mul_gen(one_elt(n), g)
 
@@ -176,6 +184,25 @@ def test_letter_check_refuses_letters_outside_the_rank(g, n, message):
         with pytest.raises(AlgebraError) as info:
             refuse(g, n)
         assert str(info.value) == message
+
+
+@pytest.mark.parametrize(
+    "refused, message",
+    [
+        (lambda: Engine(0), "rank must be >= 1"),
+        (lambda: e_power(2, 3), "E^2 requires n >= 4"),
+        (lambda: e_index(0, 3), "E_0 out of range for n=3"),
+        (lambda: e_index(3, 3), "E_3 out of range for n=3"),
+        (lambda: jm(0, 3), "L_0 out of range for n=3"),
+        (lambda: jm(4, 3), "L_4 out of range for n=3"),
+        (lambda: phi_embed(one_elt(2), 3), "phi_embed expects rank 1, got 2"),
+    ],
+    ids=["engine", "e_power", "e_index-0", "e_index-n", "jm-0", "jm-n+1", "phi_embed"],
+)
+def test_arguments_outside_the_rank_are_refused(refused, message):
+    with pytest.raises(AlgebraError) as info:
+        refused()
+    assert str(info.value) == message
 
 
 def test_letter_check_takes_every_letter_of_the_rank():
@@ -198,26 +225,26 @@ def test_jm_sum_and_recursion_agree(n):
         assert jm(i, n) == jm_recursive(i, n)
 
 
+def check_jm_commute(n):
+    """The Jucys-Murphy elements L_2, ..., L_n of rank n commute pairwise."""
+    for x, y in combinations([jm(i, n) for i in range(2, n + 1)], 2):
+        assert mul(x, y) == mul(y, x)
+
+
+def check_jm_sum_not_central(n):
+    """Some generator fails to commute with L_2 + ... + L_n at rank n."""
+    total = sum((jm(i, n) for i in range(2, n + 1)), AlgebraElt(n))
+    gens = [generator_elt(g, n) for g in [T(i) for i in range(1, n)] + [E1]]
+    assert any(mul(total, g) != mul(g, total) for g in gens)
+
+
 @pytest.mark.parametrize("n", [3, 4, 5])
 def test_jm_elements_commute(n):
-    ls = [jm(i, n) for i in range(2, n + 1)]
-    for a in range(len(ls)):
-        for b in range(a + 1, len(ls)):
-            assert mul(ls[a], ls[b]) == mul(ls[b], ls[a])
+    check_jm_commute(n)
 
 
 def test_jm_sum_not_central_at_rank_4():
-    n = 4
-    total = AlgebraElt(n)
-    for i in range(2, n + 1):
-        total = total + jm(i, n)
-    witness = False
-    for g in (T(1), T(2), T(3), E1):
-        ge = generator_elt(g, n)
-        if mul(total, ge) != mul(ge, total):
-            witness = True
-            break
-    assert witness
+    check_jm_sum_not_central(4)
 
 
 def test_tilde_e1_idempotent():
@@ -377,7 +404,6 @@ def test_multable_cache_roundtrip(tmp_path):
 
 
 def test_multable_shares_engine_memo_without_aliasing():
-    from qbrauer.algebra import Engine
     from qbrauer.cells import CellModule, clear_caches
 
     n = 4
@@ -402,8 +428,6 @@ def test_multable_shares_engine_memo_without_aliasing():
 
 
 def test_multable_corrupt_cache_raises(tmp_path):
-    from qbrauer.algebra import AlgebraError
-
     path = tmp_path / "multable-v2-n2.json"
     path.write_text("{ not json")
     with pytest.raises(AlgebraError):
@@ -437,8 +461,6 @@ def _write_table(path, data):
 
 
 def test_multable_file_format(tmp_path):
-    from qbrauer.algebra import rules_digest
-
     n = 3
     path, data = _stored_table(tmp_path, n)
     assert (data["version"], data["n"], data["rules"]) == (2, n, rules_digest())
@@ -472,8 +494,6 @@ def test_multable_tampered_row_is_rebuilt(tmp_path):
 
 
 def test_multable_foreign_rules_are_rebuilt(tmp_path):
-    from qbrauer.algebra import rules_digest
-
     n = 3
     path, data = _stored_table(tmp_path, n)
     row, ident = _t1_on_identity(n)
@@ -504,8 +524,6 @@ def test_multable_rows_text_is_checked_as_written(tmp_path):
 
 @pytest.mark.parametrize("content", ["[]", "7", None])
 def test_multable_unreadable_file_raises(tmp_path, content):
-    from qbrauer.algebra import AlgebraError
-
     path = tmp_path / "multable-v2-n2.json"
     if content is None:
         path.mkdir()
@@ -516,8 +534,6 @@ def test_multable_unreadable_file_raises(tmp_path, content):
 
 
 def test_multable_rows_of_the_wrong_shape_raise(tmp_path):
-    from qbrauer.algebra import AlgebraError
-
     n = 2
     path, data = _stored_table(tmp_path, n)
     row, ident = _t1_on_identity(n)
@@ -539,8 +555,6 @@ def test_multable_rows_of_the_wrong_shape_raise(tmp_path):
 
 
 def test_multable_unwritable_directory_raises(tmp_path):
-    from qbrauer.algebra import AlgebraError
-
     blocker = tmp_path / "file"
     blocker.write_text("")
     with pytest.raises(AlgebraError):

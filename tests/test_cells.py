@@ -2,10 +2,10 @@
 triangularity, restriction filtrations, the deficiency-one form, and
 radicals at special parameter values."""
 
-from itertools import permutations
+from itertools import permutations, zip_longest
 
 import pytest
-from conftest import hecke_product, hecke_scale, hecke_sum
+from conftest import hecke_product, hecke_scale, hecke_sum, transpose
 
 from qbrauer.algebra import (
     E1,
@@ -134,12 +134,19 @@ def test_murphy_x_matches_its_formula():
 # ---------------------------------------------------------------------------
 
 
-def test_dimensions_match_updown_count():
-    for n, f, lam in small_labels(6):
+def check_dimensions(n):
+    """Each rank-n cell module C(f, lam) has |D_{f,n}| times as many basis
+    vectors as lam has standard tableaux, one per up-down tableau."""
+    for f, lam in labels(n):
         m = cell_module(n, f, lam)
         expected = len(coset_reps_D(f, n)) * len(std_tableaux(lam, 2 * f + 1))
         assert m.dim == expected
         assert m.dim == len(updown_tableaux(n, lam))
+
+
+def test_dimensions_match_updown_count():
+    for n in range(2, 7):
+        check_dimensions(n)
 
 
 def test_cell_basis_shape():
@@ -235,6 +242,13 @@ def test_act_elt_rejects_another_rank():
         cell_module(3, 1, (1,)).act_elt(jm(2, 4))
 
 
+def test_jm_matrix_and_v_layer_refuse_a_rank_out_of_range():
+    with pytest.raises(CellError, match="L_4 out of range for n=3"):
+        cell_module(3, 1, (1,)).jm_matrix(4)
+    with pytest.raises(CellError, match="needs n >= 2"):
+        VLayer(1)
+
+
 def test_action_satisfies_defining_relations():
     for n, f, lam in small_labels(4):
         m = cell_module(n, f, lam)
@@ -301,7 +315,7 @@ def test_gram_contracts_action():
         g = m.gram()
         for gen in gens(n) + [Tinv(i) for i in range(1, n)]:
             ax = m.act(gen)
-            assert mat_mul(ax, g) == mat_mul(g, _transpose(ax)), (n, f, lam, gen)
+            assert mat_mul(ax, g) == mat_mul(g, transpose(ax)), (n, f, lam, gen)
 
 
 def test_gram_matches_algebra_products():
@@ -320,10 +334,6 @@ def test_gram_matches_algebra_products():
                 row.append(coords[ref])
             want.append(row)
         assert m.gram() == want, (n, f, lam)
-
-
-def _transpose(m):
-    return [list(row) for row in zip(*m)]
 
 
 def test_specialized_gram_det_nonzero_generic():
@@ -348,21 +358,28 @@ def test_jm_matrix_examples():
     assert m2.jm_matrix(2) == [[Q]]
 
 
+def check_certificates(n, certificates):
+    """Every certificate in certificates(module) is ok, for each cell module
+    of rank n."""
+    for f, lam in labels(n):
+        for cert in certificates(cell_module(n, f, lam)):
+            assert cert["ok"], (n, f, lam, cert)
+
+
+def check_triangularity(n):
+    """Each L_k, k = 1..n, acts on every rank-n cell module by a matrix
+    triangular in the order on up-down tableaux, with content eigenvalues."""
+    check_certificates(n, lambda m: [m.check_triangular(k) for k in range(1, n + 1)])
+
+
 def test_triangularity_all_labels_small():
-    for n, f, lam in small_labels(4):
-        m = cell_module(n, f, lam)
-        for k in range(1, n + 1):
-            cert = m.check_triangular(k)
-            assert cert["ok"], cert
+    for n in (2, 3, 4):
+        check_triangularity(n)
 
 
 @pytest.mark.slow
 def test_triangularity_rank_five():
-    for f, lam in labels(5):
-        m = cell_module(5, f, lam)
-        for k in range(1, 6):
-            cert = m.check_triangular(k)
-            assert cert["ok"], cert
+    check_triangularity(5)
 
 
 def test_jm_off_diagonal_entries_point_up_the_order():
@@ -419,19 +436,20 @@ def test_triangular_order_sorts_by_deficiency_chain():
 # ---------------------------------------------------------------------------
 
 
+def check_filtration(n):
+    """Restricted to rank n - 1, every rank-n cell module has the filtration
+    by cell modules that the branching rule predicts."""
+    check_certificates(n, lambda m: [m.filtration_check()])
+
+
 def test_filtration_all_labels_small():
-    for n, f, lam in small_labels(4):
-        m = cell_module(n, f, lam)
-        r = m.filtration_check()
-        assert r["ok"], r
+    for n in (2, 3, 4):
+        check_filtration(n)
 
 
 @pytest.mark.slow
 def test_filtration_rank_five():
-    for f, lam in labels(5):
-        m = cell_module(5, f, lam)
-        r = m.filtration_check()
-        assert r["ok"], r
+    check_filtration(5)
 
 
 def test_filtration_examples():
@@ -472,17 +490,20 @@ def test_filtration_spectrum_reads_the_jm_diagonal(monkeypatch):
 # ---------------------------------------------------------------------------
 
 
+def check_functor_image(n):
+    """The corner-idempotent functor sends every rank-n cell module to a
+    module of the predicted dimension."""
+    check_certificates(n, lambda m: [m.functor_F_check()])
+
+
 def test_functor_image_dimensions():
-    for n, f, lam in small_labels(4):
-        r = cell_module(n, f, lam).functor_F_check()
-        assert r["ok"], r
+    for n in (2, 3, 4):
+        check_functor_image(n)
 
 
 @pytest.mark.slow
 def test_functor_image_dimensions_rank_five():
-    for f, lam in labels(5):
-        r = cell_module(5, f, lam).functor_F_check()
-        assert r["ok"], r
+    check_functor_image(5)
 
 
 # ---------------------------------------------------------------------------
@@ -622,15 +643,29 @@ def test_y_element_addition_inverts_the_positive_word():
 # ---------------------------------------------------------------------------
 
 
+def check_v_layer_form(n):
+    """On the rank-n deficiency-one layer the Gram matrix and every T_k act
+    by symmetric matrices that commute."""
+    v = VLayer(n)
+    g = v.gram()
+    assert g == transpose(g)
+    for k in range(1, n):
+        ak = v.act(T(k))
+        assert ak == transpose(ak), (n, k)
+        assert mat_mul(g, ak) == mat_mul(ak, g), (n, k)
+
+
+def check_v_form_entry_shapes(n):
+    """The entries of the rank-n deficiency-one form have the shapes the
+    paper gives, on and off the diagonal."""
+    r = v_form_entry_shapes(n)
+    assert r["diagonal_ok"], r
+    assert r["off_diagonal_ok"], r
+
+
 def test_v_layer_gram_symmetric_and_action_selfadjoint():
     for n in (2, 3, 4):
-        v = VLayer(n)
-        g = v.gram()
-        assert g == _transpose(g)
-        for k in range(1, n):
-            ak = v.act(T(k))
-            assert ak == _transpose(ak), (n, k)
-            assert mat_mul(g, ak) == mat_mul(ak, g), (n, k)
+        check_v_layer_form(n)
 
 
 def test_v_layer_gram_matches_algebra_products():
@@ -647,9 +682,7 @@ def test_v_layer_gram_matches_algebra_products():
 
 def test_v_form_entry_shapes():
     for n in (2, 3, 4):
-        r = v_form_entry_shapes(n)
-        assert r["diagonal_ok"], r
-        assert r["off_diagonal_ok"], r
+        check_v_form_entry_shapes(n)
 
 
 def test_v_form_entry_shapes_refuse_a_denominator(monkeypatch):
@@ -708,21 +741,39 @@ def test_radical_factor_identified():
     assert radical_factor_shape(3, (1,), spec) == (2, 1)
 
 
+def check_radical_iff_admissible(n):
+    """For each mu of size n - 2 and each a in [-5, 4], C(1, mu) at z = q^a
+    has a nonzero radical exactly when some lam, two boxes not in one column
+    above mu, has z^2 = q^e0 there; when one lam does, it is the shape the
+    radical's spectrum names."""
+    for mu in partitions(n - 2):
+        cands = {}
+        for lam in partitions(n):
+            if all(m <= l for m, l in zip_longest(mu, lam, fillvalue=0)):
+                e0 = admissible_exponent(lam, mu)
+                if e0 is not None:
+                    cands.setdefault(e0 // 2, []).append(lam)
+        for a in range(-5, 5):
+            corank = radical_dim(n, 1, mu, IntegerExponent(a))
+            assert (corank > 0) == (a in cands), (n, mu, a, corank)
+            if a in cands and len(cands[a]) == 1:
+                shape = radical_factor_shape(n, mu, IntegerExponent(a))
+                assert shape == cands[a][0], (n, mu, a, shape)
+
+
 def test_radical_factor_rank_four():
-    # mu = (2): admissible lam with z^2 = q^{e0}: skew (3,1)/(2) has
-    # contents 2, -1 -> e0 = 0; skew (2,2)/(2) has contents 1, 0 -> e0 = 0
-    # so test mu = () at rank 4 deficiency 2 ... use the rank-4 analogue of
-    # the rank-3 case instead: mu = (2), lam = (3, 1)? e0((3,1)/(2)) =
-    # 2 - 2(2 + (-1)) = 0 and e0((2,2)/(2)) = 2 - 2(1 + 0) = 0: both shapes
-    # collide at a = 0, so the factor shape is ambiguous there and the
-    # identification is expected to raise.
-    spec = IntegerExponent(0)
-    try:
-        shape = radical_factor_shape(4, (2,), spec)
-        # if identification succeeds it must name an admissible shape
-        assert admissible(shape, (2,), spec)
-    except CellError:
-        pass
+    # mu = (2): the admissible lam are (4), whose added boxes have contents
+    # 2 and 3, so e0 = 2 - 2(2 + 3) = -8; (3, 1), contents 2 and -1, e0 = 0;
+    # and (2, 2), contents -1 and 0, e0 = 4.  (2, 1, 1) adds a vertical
+    # domino.  So each a = e0 / 2 names one shape, and nothing collides.
+    factors = {-4: ((4,), 1), 0: ((3, 1), 3), 2: ((2, 2), 2)}
+    for a in range(-5, 5):
+        spec = IntegerExponent(a)
+        shape, corank = factors.get(a, (None, 0))
+        assert radical_factor_shape(4, (2,), spec) == shape, a
+        assert radical_dim(4, 1, (2,), spec) == corank, a
+        if shape:
+            assert admissible(shape, (2,), spec)
 
 
 def test_radical_traces_refuse_a_subspace_that_is_not_invariant(monkeypatch):

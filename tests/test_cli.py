@@ -239,6 +239,11 @@ def test_basis_count():
     assert data["count"] == 105
     assert data["by_deficiency"] == {"0": 24, "1": 72, "2": 9}
     assert run_json("basis-count", "--n", "5")["count"] == 945
+    data = run_json("basis-count", "--n", "8")
+    assert data["count"] == 2027025 and data["ok"]
+    assert data["by_deficiency"] == {
+        "0": 40320, "1": 564480, "2": 1058400, "3": 352800, "4": 11025
+    }
 
 
 def test_output_is_deterministic():

@@ -110,6 +110,13 @@ def test_classical_limit_pole():
         classical_limit(ONE / A, 0)
 
 
+def test_specialize_refuses_a_pole():
+    with pytest.raises(PoleError, match="vanishes identically at z=q\\^1"):
+        specialize(ONE / (Z - Q), IntegerExponent(1))
+    with pytest.raises(PoleError, match="pole at numeric point"):
+        specialize(ONE / (Q - 3 * ONE), NumericPoint(7, 3, 2))
+
+
 def test_quantum_characteristic():
     assert quantum_characteristic(7, 3) == 3
     assert quantum_characteristic(5, 1) == 5
@@ -235,7 +242,7 @@ def _pgcd_canonical(num, den):
     num = co._pshift(num, -ni, -nj)
     g = co._pgcd(num, den)
     num, den = co._pdiv_exact(num, g), co._pdiv_exact(den, g)
-    c = co._content([*num.values(), *den.values()])
+    c = co._igcd(*num.values(), *den.values())
     num = {k: v // c for k, v in num.items()}
     den = {k: v // c for k, v in den.items()}
     if den[max(den)] < 0:

@@ -3,6 +3,7 @@ from itertools import combinations
 from math import factorial
 
 import pytest
+from conftest import odd_double_factorial
 from hypothesis import given, settings, strategies as st
 
 from qbrauer.cells import ct_eigenvalue
@@ -43,14 +44,6 @@ from qbrauer.combinatorics import (
     updown_tableaux,
     window_perms,
 )
-
-
-def double_factorial_odd(m):
-    r = 1
-    while m > 1:
-        r *= m
-        m -= 2
-    return r
 
 
 def test_partitions():
@@ -167,6 +160,8 @@ def test_coset_reps_counts():
             assert len(set(D)) == len(D)
             # no left descent in the window, so T_w T_d is always reduced
             assert all(m <= 2 * f for d in D for m in left_descents(d))
+    with pytest.raises(CombinatoricsError, match="f=2 out of range for n=3"):
+        coset_reps_D(2, 3)
 
 
 def test_rank_identity():
@@ -175,7 +170,7 @@ def test_rank_identity():
             len(coset_reps_D(f, n)) ** 2 * factorial(n - 2 * f)
             for f in range(n // 2 + 1)
         )
-        assert tot == double_factorial_odd(2 * n - 1)
+        assert tot == odd_double_factorial(n)
 
 
 def pattern_word(f, chosen):

@@ -9,6 +9,7 @@ from fractions import Fraction
 from itertools import permutations
 
 import pytest
+from conftest import transpose
 from hypothesis import given, settings, strategies as st
 
 from qbrauer.coefficients import ONE, Q, ZERO, Fp
@@ -55,10 +56,6 @@ def matrices(draw, rows=None, cols=None, field=None):
 def square_matrices(draw):
     n = draw(dims)
     return draw(matrices(rows=n, cols=n))
-
-
-def transpose(m):
-    return [list(col) for col in zip(*m)]
 
 
 def leibniz(m, field):
@@ -201,6 +198,30 @@ def test_sparse_product_matches_triple_loop(data):
     a, field = data.draw(matrices(rows=rows, cols=inner))
     b, _ = data.draw(matrices(rows=inner, cols=cols, field=field))
     assert mat_mul(a, b) == naive_mul(a, b, field)
+
+
+def test_empty_inputs():
+    one = Fraction(1)
+    assert mat_mul([], [[one]]) == [] and mat_mul([[one]], []) == []
+    assert kernel_basis([]) == []
+    assert mat_rank([]) == 0 and mat_rank([[]]) == 0
+    assert in_row_span([], [Fraction(0), Fraction(0)]) == []
+    assert in_row_span([], [Fraction(0), one]) is None
+
+
+@pytest.mark.parametrize(
+    "op, m",
+    [
+        (mat_det, []),
+        (mat_det, [[Fraction(1), Fraction(2)]]),
+        (mat_inverse, [[Fraction(1), Fraction(2)]]),
+        (mat_inverse, []),
+    ],
+    ids=["det-empty", "det-1x2", "inverse-1x2", "inverse-empty"],
+)
+def test_empty_and_non_square_matrices_have_no_det_or_inverse(op, m):
+    with pytest.raises(LinAlgError):
+        op(m)
 
 
 @pytest.mark.parametrize("value", [2, 2.0])

@@ -8,14 +8,12 @@ from hypothesis import assume, given, settings, strategies as st
 from qbrauer.algebra import (
     E1,
     AlgebraElt,
-    NormalWord,
     T,
-    Tinv,
     all_normal_words,
     get_engine,
     mul,
 )
-from qbrauer.coefficients import ONE, classical_limit
+from qbrauer.coefficients import A, DELTA, ONE, Z, add_scaled, classical_limit
 from qbrauer.combinatorics import compose, perm
 from qbrauer.oracle import (
     FreeQuotientOracle,
@@ -29,28 +27,35 @@ from qbrauer.oracle import (
 )
 
 
-def oracle_letters(word, n):
-    """Engine letters of a normal word, translated to oracle letters
-    (inverses eliminated: the oracle alphabet has no T_i^{-1})."""
-    eng = get_engine(n)
-    return eng.word_letters(word)
-
-
-def engine_word_as_oracle_vector(word, orc, n):
-    """Express a normal word in the oracle by multiplying out its letters."""
-    from qbrauer.coefficients import A as Acoef
-
+def oracle_image(word, orc, n):
+    """A rank-n normal word in the oracle: the product of its engine letters,
+    each T_i^-1 written T_i - (q - q^-1), as the oracle has no inverses."""
     vec = {(): ONE}
-    for g in oracle_letters(word, n):
-        if g == ("E",):
-            vec = orc.mul(vec, {("E",): ONE})
-        elif g[0] == "T":
-            vec = orc.mul(vec, {(f"T{g[1]}",): ONE})
-        else:  # Tinv: T_i - (q - q^{-1})
-            vec = orc.mul(
-                vec, {(f"T{g[1]}",): ONE, (): -Acoef}
-            )
+    for g in get_engine(n).word_letters(word):
+        if g == E1:
+            letter = {("E",): ONE}
+        elif g == T(g[1]):
+            letter = {(f"T{g[1]}",): ONE}
+        else:
+            letter = {(f"T{g[1]}",): ONE, (): -A}
+        vec = orc.mul(vec, letter)
     return vec
+
+
+def check_oracle_agreement(n):
+    """Every product of two rank-n normal words, mapped into the oracle
+    through the images of the words, is the oracle's product of their
+    images."""
+    orc = FreeQuotientOracle(n)
+    words = all_normal_words(n)
+    images = {w: oracle_image(w, orc, n) for w in words}
+    for x in words:
+        for y in words:
+            prod = mul(AlgebraElt(n, {x: ONE}), AlgebraElt(n, {y: ONE}))
+            mapped = {}
+            for w, c in prod.items():
+                add_scaled(mapped, images[w], c)
+            assert mapped == orc.mul(images[x], images[y]), (x, y)
 
 
 @pytest.mark.parametrize("n", [2, 3])
@@ -61,8 +66,6 @@ def test_oracle_dimension(n):
 
 def test_oracle_contact_relation():
     orc = FreeQuotientOracle(3)
-    from qbrauer.coefficients import Z
-
     assert orc.nf(("E", "T2", "E")) == {("E",): Z}
 
 
@@ -73,31 +76,7 @@ def test_oracle_rejects_large_rank():
 
 @pytest.mark.parametrize("n", [2, 3])
 def test_engine_agrees_with_free_quotient_oracle(n):
-    """All basis-pair products agree between the engine and the oracle."""
-    orc = FreeQuotientOracle(n)
-    words = all_normal_words(n)
-    # image of each normal word inside the oracle
-    images = {w: engine_word_as_oracle_vector(w, orc, n) for w in words}
-    # the images must be a basis: solve each oracle basis word in terms of
-    # them implicitly by checking products instead (the comparison below is
-    # bijective on structure constants)
-    for x in words:
-        ex = AlgebraElt(n, {x: ONE})
-        for y in words:
-            ey = AlgebraElt(n, {y: ONE})
-            prod = mul(ex, ey)
-            oracle_prod = orc.mul(images[x], images[y])
-            # map the engine product through the images
-            mapped = {}
-            for w, c in prod.items():
-                for ow, oc in images[w].items():
-                    v = mapped.get(ow)
-                    v = c * oc if v is None else v + c * oc
-                    if v:
-                        mapped[ow] = v
-                    else:
-                        mapped.pop(ow, None)
-            assert mapped == oracle_prod, (x, y)
+    check_oracle_agreement(n)
 
 
 def test_diagram_concatenation_basics():
@@ -114,6 +93,7 @@ def test_diagram_concatenation_basics():
 def check_classical_limit(n, a):
     """With z = q^a, q -> 1, the structure constants of the rank-n algebra
     become those of the classical diagram algebra with loop factor a."""
+    assert classical_limit(DELTA, a) == Fraction(a)  # delta is the loop factor
     words = all_normal_words(n)
     diagrams = {}
     for w in words:

@@ -15,11 +15,37 @@ from qbrauer.semisimple import (
 )
 
 
+# the exponents a at which the rank-n algebra with z = q^a is not semisimple
+BAD_EXPONENTS = {
+    2: {0},
+    3: {-2, 0, 1},
+    4: {-4, -2, 0, 1, 2},
+    5: {-6, -4, -2, -1, 0, 1, 2, 3},
+}
+
+
+def check_scan(n):
+    """The determinant scan over a in [2 - 2n, n] finds the bad exponents."""
+    assert scan(n, 2 - 2 * n, n) == BAD_EXPONENTS[n]
+
+
+def check_small_quantum_characteristic():
+    """At a point where q^2 has multiplicative order 3 <= n, the
+    symmetric-group deformation inside the algebra is not semisimple, so
+    neither is the whole algebra, whatever z is."""
+    p = 1009
+    q0 = next(c for c in range(2, p) if quantum_characteristic(p, c) == 3)
+    v = brute_semisimple(3, NumericPoint(p, q0, pow(q0, 5, p)))
+    assert v["observed"] is False
+    assert v["predicted"] is False
+    assert v["verdict"] == "not semisimple"
+
+
 def test_bad_exponent_sets():
-    assert bad_exponent_set(2) == {0}
-    assert bad_exponent_set(3) == {-2, 0, 1}
-    assert bad_exponent_set(4) == {-4, -2, 0, 1, 2}
-    assert bad_exponent_set(5) == {-6, -4, -2, -1, 0, 1, 2, 3}
+    for n, bad in BAD_EXPONENTS.items():
+        assert bad_exponent_set(n) == bad
+    with pytest.raises(SemisimpleError, match="rank must be at least 2"):
+        bad_exponent_set(1)
 
 
 def test_criterion():
@@ -34,8 +60,8 @@ def test_criterion():
 
 
 def test_scan_matches_bad_set_rank_two_three():
-    assert scan(2, -2, 2) == {0}
-    assert scan(3, -4, 3) == {-2, 0, 1}
+    check_scan(2)
+    check_scan(3)
 
 
 def test_vanishing_determinant_pays_one_fp_draw(monkeypatch):
@@ -54,12 +80,12 @@ def test_vanishing_determinant_pays_one_fp_draw(monkeypatch):
 
 
 def test_scan_matches_bad_set_rank_four():
-    assert scan(4, -6, 4) == {-4, -2, 0, 1, 2}
+    check_scan(4)
 
 
 @pytest.mark.slow
 def test_scan_matches_bad_set_rank_five():
-    assert scan(5, -8, 5) == {-6, -4, -2, -1, 0, 1, 2, 3}
+    check_scan(5)
 
 
 def test_brute_semisimple_generic_point():
@@ -94,14 +120,7 @@ def test_brute_semisimple_rank_two_and_negative_exponent():
 
 
 def test_brute_semisimple_small_quantum_characteristic():
-    # a point where q^2 has multiplicative order 3 <= n: the symmetric-group
-    # deformation inside the algebra is not semisimple, so neither is the
-    # whole algebra, whatever z is
-    p = 1009
-    q0 = next(c for c in range(2, p) if quantum_characteristic(p, c) == 3)
-    v = brute_semisimple(3, NumericPoint(p, q0, pow(q0, 5, p)))
-    assert v["observed"] is False
-    assert v["predicted"] is False
+    check_small_quantum_characteristic()
 
 
 def test_brute_semisimple_requires_numeric_point():
